@@ -82,7 +82,7 @@ def _query_cycle(dataset: PerfDataset, seed: int = 7):
     # Unknown coordinates force full fallback walks to the global level.
     queries.append("/v1/strategy?chip=UNKNOWN&app=UNKNOWN&input=UNKNOWN")
     # Portfolio queries: pre-serialized defaults for every chip, the
-    # explicit-k/target cache path, and a degraded fallback walk.
+    # explicit-k/target render path, and a degraded fallback walk.
     for chip in chips:
         queries.append(f"/v1/portfolio?chip={chip}&app={apps[0]}&input={inputs[0]}")
         queries.append(f"/v1/portfolio?chip={chip}&k=2")

@@ -71,8 +71,8 @@ SUBCOMMANDS: List[Tuple[str, str, str]] = [
     (
         "serve",
         "INDEX [--host H] [--port P] [--workers N]\n"
-        "        [--max-concurrency N] [--timeout S] [--cache-size N]\n"
-        "        [--cache-ttl S] [--no-predict] [--predict-window-ms MS]\n"
+        "        [--max-concurrency N] [--timeout S] [--no-predict]\n"
+        "        [--predict-window-ms MS]\n"
         "        [--predict-max-batch N] [--predict-flush-timeout S]\n"
         "        [--max-restarts N] [--restart-backoff S]\n"
         "        [--heartbeat-interval S] [--admin-port P]\n"

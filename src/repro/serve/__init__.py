@@ -18,10 +18,11 @@ deploy.  The offline pipeline derives that advice in batch
 * :mod:`repro.serve.server` — an asyncio, stdlib-only HTTP JSON API
   over a loaded index (``GET /v1/strategy``, ``POST /v1/predict``,
   ``GET /healthz``, ``GET /metrics``) with bounded concurrency,
-  per-request timeouts, an LRU+TTL response cache, predict
-  micro-batching, ``SO_REUSEPORT`` multi-worker scale-out
-  (``--workers N``) and graceful drain-on-signal shutdown.
-* :mod:`repro.serve.cache` — the LRU+TTL cache.
+  per-request timeouts, predict micro-batching, ``SO_REUSEPORT``
+  multi-worker scale-out (``--workers N``) and graceful
+  drain-on-signal shutdown.  Every strategy or portfolio answer is
+  either the precompiled bytes or, for the long tail the table cannot
+  enumerate, rendered per request into the same bytes.
 * :mod:`repro.serve.predict` — online single-point pricing through the
   vectorized batch engine, backing ``POST /v1/predict``;
   :meth:`~repro.serve.predict.Predictor.price_many` prices a coalesced
@@ -33,7 +34,6 @@ See ``docs/serving.md`` for the API reference and artifact format.
 from __future__ import annotations
 
 from .admission import AdmissionController, CircuitBreaker
-from .cache import TTLCache
 from .index import (
     INDEX_FORMAT,
     IndexEntry,
@@ -63,7 +63,6 @@ __all__ = [
     "StrategyAnswer",
     "StrategyIndex",
     "StrategyServer",
-    "TTLCache",
     "build_index",
     "render_answer",
     "render_portfolio_answer",

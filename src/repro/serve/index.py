@@ -29,7 +29,7 @@ measured, or quarantine removed it — the lookup falls back *up* the
 lattice (dropping one dimension at a time, most-specialised first)
 and the answer is marked ``degraded`` with a coverage footnote.
 
-Since ISSUE 6 the artifact additionally carries a **pre-serialized
+The artifact additionally carries a **pre-serialized
 answers table**: the full ``GET /v1/strategy`` response body for every
 lattice point over the source dataset's coordinates (including the
 degraded fallback variants a holed dataset produces), rendered once at
@@ -38,7 +38,7 @@ dict lookup plus a socket write — no per-request JSON encoding — while
 staying byte-identical to the encode-per-request path (the
 ``strategy-responses.json`` golden pins both).  The table is optional
 on load: a ``strategy-index-v1`` artifact written before the table
-existed still serves, falling back to encode-on-miss.
+existed still serves, rendering each answer per request.
 
 The artifact is checksummed JSON with sorted keys: building it twice
 from the same dataset produces byte-identical files, which the golden
@@ -47,9 +47,10 @@ test pins.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..compiler.options import BASELINE, OptConfig
 from ..core.algorithm1 import SPECIALISATION_DIMS, Analysis
@@ -104,7 +105,7 @@ LEVEL_DIMS: Dict[str, Tuple[str, ...]] = dict(STRATEGY_DIMS)
 LEVEL_DIMS["baseline"] = ()
 
 #: A query's coordinates, ``None`` for an unnamed dimension — the key
-#: of the pre-serialized answers table and the response cache alike.
+#: of the pre-serialized answers tables.
 AnswerKey = Tuple[Optional[str], Optional[str], Optional[str]]
 
 
@@ -361,26 +362,27 @@ class StrategyIndex:
         """The pre-serialized ``(body, degraded)`` pair, if compiled."""
         return self.answers.get(key)
 
+    def _lattice_keys(self) -> Iterator[AnswerKey]:
+        """Every combination of the source dataset's coordinates, each
+        dimension optionally unnamed (``None``)."""
+        return itertools.product(
+            [None] + list(self.meta.get("chips", ())),
+            [None] + list(self.meta.get("apps", ())),
+            [None] + list(self.meta.get("inputs", ())),
+        )
+
     def compile_answers(self) -> int:
         """Pre-serialize every lattice point's response body.
 
-        Enumerates all combinations of the source dataset's coordinates
-        (each dimension optionally unnamed), including the degraded
-        fallback variants of holed or quarantined cells, and renders
-        each through :func:`render_answer`.  Returns the table size.
+        Renders each of :meth:`_lattice_keys` through
+        :func:`render_answer`, including the degraded fallback variants
+        of holed or quarantined cells.  Returns the table size.
         """
-        chips = [None] + list(self.meta.get("chips", ()))
-        apps = [None] + list(self.meta.get("apps", ()))
-        inputs = [None] + list(self.meta.get("inputs", ()))
-        answers: Dict[AnswerKey, Tuple[bytes, bool]] = {}
-        for chip in chips:
-            for app in apps:
-                for inp in inputs:
-                    answers[(chip, app, inp)] = render_answer(
-                        self, chip=chip, app=app, input=inp
-                    )
-        self.answers = answers
-        return len(answers)
+        self.answers = {
+            key: render_answer(self, chip=key[0], app=key[1], input=key[2])
+            for key in self._lattice_keys()
+        }
+        return len(self.answers)
 
     @property
     def n_portfolio_answers(self) -> int:
@@ -397,25 +399,20 @@ class StrategyIndex:
 
         The default answer (no explicit ``k`` or ``target``) is the one
         enumerable response per coordinate triple; explicit parameters
-        go through the response cache instead.  Returns the table size.
+        are rendered per request instead.  Returns the table size.
         """
         if self.portfolios is None:
             raise StrategyIndexError(
                 "cannot pre-serialize portfolio answers: the index has "
                 "no portfolios (rebuild with repro index --portfolios)"
             )
-        chips = [None] + list(self.meta.get("chips", ()))
-        apps = [None] + list(self.meta.get("apps", ()))
-        inputs = [None] + list(self.meta.get("inputs", ()))
-        answers: Dict[AnswerKey, Tuple[bytes, bool]] = {}
-        for chip in chips:
-            for app in apps:
-                for inp in inputs:
-                    answers[(chip, app, inp)] = render_portfolio_answer(
-                        self, chip=chip, app=app, input=inp
-                    )
-        self.portfolio_answers = answers
-        return len(answers)
+        self.portfolio_answers = {
+            key: render_portfolio_answer(
+                self, chip=key[0], app=key[1], input=key[2]
+            )
+            for key in self._lattice_keys()
+        }
+        return len(self.portfolio_answers)
 
     def lookup_portfolio(
         self,

@@ -23,9 +23,8 @@ asyncio only, no web framework:
   config) points through the vectorized batch engine; ``config`` may
   be omitted to price whatever the advisor recommends;
 * ``GET /healthz`` — liveness plus index shape;
-* ``GET /metrics`` — the recorder's counters/gauges/histograms and the
-  response cache's statistics (spans are excluded: a long-lived server
-  would grow them without bound).
+* ``GET /metrics`` — the recorder's counters/gauges/histograms (spans
+  are excluded: a long-lived server would grow them without bound).
 
 Operational behaviour:
 
@@ -33,8 +32,9 @@ Operational behaviour:
   the index's own lattice is served straight from the artifact's
   pre-serialized bytes table (:meth:`StrategyIndex.answer`): a dict
   lookup and a socket write, no per-request JSON encoding.  Unknown
-  coordinates (and pre-table artifacts) fall back to encode-on-miss
-  through the LRU+TTL response cache;
+  coordinates, explicit portfolio ``k``/``target`` and pre-table
+  artifacts are rendered per request (:func:`render_answer`), tens of
+  microseconds each, into the same bytes the table would hold;
 * **bounded concurrency** — at most ``max_concurrency`` requests are
   dispatched at once (an :class:`asyncio.Semaphore`); the rest queue;
 * **per-request timeout** — a dispatch exceeding ``request_timeout``
@@ -103,7 +103,6 @@ from ..faults import (
 )
 from ..obs import NULL_RECORDER
 from .admission import LOOKUP, PREDICT, AdmissionController, CircuitBreaker
-from .cache import TTLCache
 from .index import (
     StrategyIndex,
     _config_label,
@@ -153,37 +152,18 @@ class _HttpError(Exception):
         self.retry_after = retry_after
 
 
-def _price_batch(predictor, items: List[tuple]) -> List[object]:
-    """Price a coalesced batch in the executor thread.
-
-    Prefers the predictor's vectorized
-    :meth:`~repro.serve.predict.Predictor.price_many` (one lock, one
-    pass); any predictor-shaped object with only ``price`` still works
-    item by item.  Per-item failures come back as
-    :class:`~repro.errors.PredictionError` *values*, never aborting the
-    batch.
-    """
-    many = getattr(predictor, "price_many", None)
-    if many is not None:
-        return many(items)
-    results: List[object] = []
-    for chip, app, inp, config in items:
-        try:
-            results.append(predictor.price(chip, app, inp, config))
-        except PredictionError as exc:
-            results.append(exc)
-    return results
-
-
 class PredictCoalescer:
     """Micro-batches concurrent predict items into one engine call.
 
     Items submitted via :meth:`price` wait at most ``window`` seconds
     (or until ``max_batch`` items are pending, whichever comes first)
     and are then priced together by a single executor dispatch of
-    :func:`_price_batch`.  Each caller awaits its own future, so
-    per-item results — and per-item errors — are preserved exactly;
-    coalescing changes *when* pricing happens, never *what* it returns.
+    :meth:`~repro.serve.predict.Predictor.price_many` (one lock, one
+    pass; per-item failures come back as
+    :class:`~repro.errors.PredictionError` *values*).  Each caller
+    awaits its own future, so per-item results — and per-item errors —
+    are preserved exactly; coalescing changes *when* pricing happens,
+    never *what* it returns.
 
     ``window=0`` still coalesces items that arrive within one event-
     loop tick (e.g. all items of one request body) but adds no latency.
@@ -250,7 +230,7 @@ class PredictCoalescer:
         items = [(chip, app, inp, cfg) for chip, app, inp, cfg, _ in batch]
         try:
             call = loop.run_in_executor(
-                None, _price_batch, self.predictor, items
+                None, self.predictor.price_many, items
             )
             if self.flush_timeout > 0:
                 results = await asyncio.wait_for(call, self.flush_timeout)
@@ -299,7 +279,6 @@ class StrategyServer:
         max_concurrency: int = 64,
         request_timeout: float = 10.0,
         idle_timeout: float = 60.0,
-        cache: Optional[TTLCache] = None,
         recorder=None,
         predictor: Optional[Predictor] = None,
         clock: Callable[[], float] = time.perf_counter,
@@ -331,7 +310,6 @@ class StrategyServer:
         self.max_concurrency = max_concurrency
         self.request_timeout = request_timeout
         self.idle_timeout = idle_timeout
-        self.cache = cache if cache is not None else TTLCache()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.predictor = predictor
         self._clock = clock
@@ -750,8 +728,8 @@ class StrategyServer:
         its generation — untouched, so a bad deploy rolls back to the
         last good artifact by doing nothing.  On success the swap is a
         single assignment on the event-loop thread (in-flight requests
-        hold references to whichever index they started with), the
-        response cache is cleared, and the generation counter bumps.
+        hold references to whichever index they started with) and the
+        generation counter bumps.
         """
         if self._reload_lock is None:
             self._reload_lock = asyncio.Lock()
@@ -812,7 +790,6 @@ class StrategyServer:
                     "error": str(exc),
                 }
             self.index = index
-            self.cache.clear()
             self.index_generation += 1
             self.reloads += 1
             rec.count("serve.reload.attempts")
@@ -911,7 +888,6 @@ class StrategyServer:
             "gauges": snap.get("gauges", {}),
             # {name: [count, sum, min, max]}, matching RunReport.
             "histograms": snap.get("histograms", {}),
-            "cache": self.cache.stats(),
             "refine": self.observations.stats(),
             "requests_served": self.requests_served,
         }
@@ -949,27 +925,37 @@ class StrategyServer:
             refined = self._refined(key)
             if refined is not None:
                 return refined
-        # Hot path: the answer was pre-serialized at index-build time —
-        # a dict lookup and a socket write, no JSON encoding.
-        pre = self.index.answer(key)
-        if pre is not None:
-            body, degraded = pre
-            rec.count("serve.answers.precompiled")
-            if degraded:
-                rec.count("serve.fallbacks")
-            return body
-        # Long tail (coordinates outside the index's lattice, or an
-        # artifact predating the answers table): encode once, cache.
-        cached = self.cache.get(key)
-        if cached is not None:
-            rec.count("serve.cache.hits")
-            body, degraded = cached
-        else:
-            rec.count("serve.cache.misses")
-            body, degraded = render_answer(
+        return self._answer(
+            "serve.answers",
+            self.index.answer(key),
+            lambda: render_answer(
                 self.index, chip=key[0], app=key[1], input=key[2]
-            )
-            self.cache.put(key, (body, degraded))
+            ),
+        )
+
+    def _answer(
+        self,
+        counter: str,
+        pre: Optional[Tuple[bytes, bool]],
+        render: Callable[[], Tuple[bytes, bool]],
+    ) -> bytes:
+        """The precompiled ``(body, degraded)`` if any, else a render.
+
+        The answers table holds every coordinate of the index's own
+        lattice, pre-serialized at build time, so the common case is a
+        dict lookup and a socket write (``<counter>.precompiled``).
+        The long tail — coordinates outside the lattice, explicit
+        portfolio ``k``/``target``, or an artifact predating the table —
+        is rendered per request into the same bytes
+        (``<counter>.rendered``).
+        """
+        rec = self.recorder
+        if pre is not None:
+            rec.count(counter + ".precompiled")
+            body, degraded = pre
+        else:
+            rec.count(counter + ".rendered")
+            body, degraded = render()
         if degraded:
             rec.count("serve.fallbacks")
         return body
@@ -980,7 +966,7 @@ class StrategyServer:
         """An online-refined answer for ``?refine=1``, or ``None``.
 
         ``None`` sends the request down the normal (precompiled /
-        cached) path.  Refinement applies only when all three
+        rendered) path.  Refinement applies only when all three
         coordinates are named *and* the index's own answer would be
         degraded (a fallback up the lattice): an exact non-degraded
         index cell is offline ground truth and always outranks live
@@ -1081,38 +1067,24 @@ class StrategyServer:
         key = (
             params.get("chip"), params.get("app"), params.get("input")
         )
-        # Hot path: the default-parameter answer was pre-serialized at
-        # index-build time, exactly like /v1/strategy.
-        if k is None and target is None:
-            pre = self.index.portfolio_answer(key)
-            if pre is not None:
-                body, degraded = pre
-                rec.count("serve.portfolio.precompiled")
-                if degraded:
-                    rec.count("serve.fallbacks")
-                return body
-        # Explicit k/target (or coordinates outside the table): encode
-        # once, cache under a namespaced key so portfolio and strategy
-        # entries can never collide.
-        cache_key = ("portfolio", key, k, target)
-        cached = self.cache.get(cache_key)
-        if cached is not None:
-            rec.count("serve.portfolio.cache.hits")
-            body, degraded = cached
-        else:
-            rec.count("serve.portfolio.cache.misses")
-            body, degraded = render_portfolio_answer(
+        # Only the default-parameter answers were pre-serialized.
+        pre = (
+            self.index.portfolio_answer(key)
+            if k is None and target is None
+            else None
+        )
+        return self._answer(
+            "serve.portfolio",
+            pre,
+            lambda: render_portfolio_answer(
                 self.index,
                 chip=key[0],
                 app=key[1],
                 input=key[2],
                 k=k,
                 target=target,
-            )
-            self.cache.put(cache_key, (body, degraded))
-        if degraded:
-            rec.count("serve.fallbacks")
-        return body
+            ),
+        )
 
     async def _predict(self, body: bytes) -> Tuple[int, dict]:
         rec = self.recorder
@@ -1265,11 +1237,6 @@ def _make_server(
     incarnation: int = 0,
 ) -> StrategyServer:
     """One configured server from parsed CLI options (``vars(args)``)."""
-    cache = (
-        TTLCache(maxsize=opts["cache_size"], ttl=opts["cache_ttl"])
-        if opts["cache_size"] > 0
-        else TTLCache(maxsize=0)
-    )
     predictor = (
         None
         if opts["no_predict"]
@@ -1301,7 +1268,6 @@ def _make_server(
         max_concurrency=opts["max_concurrency"],
         request_timeout=opts["timeout"],
         idle_timeout=opts["idle_timeout"],
-        cache=cache,
         recorder=recorder,
         predictor=predictor,
         reuse_port=reuse_port,
@@ -1725,19 +1691,6 @@ def main(argv=None) -> int:
         default=60.0,
         metavar="SECONDS",
         help="drop keep-alive connections idle this long (default 60)",
-    )
-    parser.add_argument(
-        "--cache-size",
-        type=int,
-        default=1024,
-        help="response cache entries; 0 disables caching (default 1024)",
-    )
-    parser.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=300.0,
-        metavar="SECONDS",
-        help="response cache time-to-live (default 300)",
     )
     parser.add_argument(
         "--predict-scale",

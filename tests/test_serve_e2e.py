@@ -261,13 +261,12 @@ class TestServeE2E:
             assert counters["serve.requests"] == 4
             assert counters["serve.requests.strategy"] == 3
             # cc-topo is not a dataset app, so the key misses the
-            # precompiled table and goes through the TTL cache instead.
-            assert counters["serve.cache.misses"] == 1
-            assert counters["serve.cache.hits"] == 2
-            # Fallbacks count every degraded response served, cache hit
-            # or not — three requests, three degraded answers.
+            # precompiled table and is rendered on every request.
+            assert "serve.answers.precompiled" not in counters
+            assert counters["serve.answers.rendered"] == 3
+            # Fallbacks count every degraded response served — three
+            # requests, three degraded answers.
             assert counters["serve.fallbacks"] == 3
-            assert metrics["cache"]["size"] == 1
             code, stderr = server.finish()
         finally:
             server.kill()

@@ -255,26 +255,26 @@ class TestEndpointValidation:
 class TestCountersReconcile:
     def test_portfolio_counters_in_metrics(self, index):
         """A known request sequence leaves exactly the expected trail:
-        precompiled hits, cache misses then hits, one fallback — and
+        precompiled hits, rendered answers, one fallback — and
         the response classes sum back to the request count."""
 
         async def go():
             server = StrategyServer(index, recorder=Recorder())
             await server.start()
             try:
-                # 2x default params: precompiled table, no cache.
+                # 2x default params: precompiled table.
                 for _ in range(2):
                     await http_get(
                         server.port, _query("MALI", "bfs-wl", "tiny-road")
                     )
-                # 2x explicit k: one miss, one hit.
+                # 2x explicit k: rendered both times.
                 for _ in range(2):
                     await http_get(
                         server.port,
                         _query("MALI", "bfs-wl", "tiny-road", k=2),
                     )
-                # Unknown app: degraded, precompiled? No — unknown
-                # coordinates are outside the table: cache miss.
+                # Unknown app: degraded, and outside the table, so
+                # rendered.
                 await http_get(server.port, _query("MALI", "mis-wl", None))
                 # One bad request.
                 await http_get(server.port, "/v1/portfolio?k=0")
@@ -287,8 +287,7 @@ class TestCountersReconcile:
         counters = metrics["counters"]
         assert counters["serve.requests.portfolio"] == 6
         assert counters["serve.portfolio.precompiled"] == 2
-        assert counters["serve.portfolio.cache.misses"] == 2
-        assert counters["serve.portfolio.cache.hits"] == 1
+        assert counters["serve.portfolio.rendered"] == 3
         assert counters["serve.fallbacks"] == 1
         assert counters["serve.responses.4xx"] == 1
         # Reconciliation: every request is counted exactly once by

@@ -284,8 +284,7 @@ class TestRefineEndpoint:
 
     def test_refined_answers_are_never_cached(self, index):
         """A refined answer must reflect the store at request time:
-        new predict traffic changes the next refined response even
-        when the response cache would have served the old bytes."""
+        new predict traffic changes the next refined response."""
         async def go():
             server = StrategyServer(index, predictor=StubPredictor())
             await server.start()

@@ -3,7 +3,8 @@
 The contract under test: a reload re-reads ``index_path``, validates
 the candidate through the same checksum + format-tag gauntlet as
 :meth:`StrategyIndex.load`, and atomically swaps it in (generation
-bump, response cache cleared).  *Any* validation failure — truncated
+bump; every later answer, precompiled or rendered, comes from the new
+index).  *Any* validation failure — truncated
 file, garbled bytes, a chaos-armed corrupt token — rolls back by doing
 nothing: the old index keeps serving and the generation is untouched.
 """
@@ -18,7 +19,7 @@ import pytest
 
 from repro.faults import SERVE_RELOAD_CORRUPT, FaultPlan
 from repro.obs import Recorder
-from repro.serve import StrategyServer, build_index
+from repro.serve import StrategyServer, build_index, render_answer
 from repro.study.dataset import PerfDataset
 
 from tests.test_serve_server import http_request, run
@@ -75,6 +76,42 @@ class TestReload:
         assert snap["counters"]["serve.reload.attempts"] == 1
         assert snap["counters"]["serve.reload.success"] == 1
         assert "serve.reload.failures" not in snap["counters"]
+
+    def test_rendered_answer_comes_from_the_new_index(
+        self, golden_dataset, index_file
+    ):
+        """An unknown-coordinate answer is rendered per request, so one
+        served before a reload can never outlive the index it came from."""
+        gone = golden_dataset.chips[0]
+        holed = PerfDataset()
+        for test, config, times in golden_dataset.iter_measurements():
+            if test.chip != gone:
+                holed.add(test, config, times)
+        new_index = build_index(holed)
+        new_index.save(index_file)
+        target = "/v1/strategy?chip=UNKNOWN&app=bfs-wl"
+
+        async def go():
+            server = StrategyServer(
+                build_index(golden_dataset),
+                recorder=Recorder(),
+                index_path=index_file,
+            )
+            await server.start()
+            try:
+                _, _, before = await http_request(server.port, "GET", target)
+                result = await server.reload_index()
+                _, _, after = await http_request(server.port, "GET", target)
+            finally:
+                await server.stop()
+            return server.recorder.snapshot(), result, before, after
+
+        snap, result, before, after = run(go())
+        assert result["reloaded"] is True
+        assert after != before
+        body, _ = render_answer(new_index, chip="UNKNOWN", app="bfs-wl")
+        assert after == body
+        assert snap["counters"]["serve.answers.rendered"] == 2
 
     def test_corrupt_candidate_rolls_back(self, golden_dataset, index_file):
         async def go():

@@ -17,7 +17,7 @@ import pytest
 
 from repro.errors import PredictionError, ServeError
 from repro.obs import Recorder
-from repro.serve import StrategyServer, TTLCache, build_index
+from repro.serve import StrategyServer, build_index
 from repro.study.dataset import PerfDataset
 
 GOLDEN_DATASET = "mini-dataset.json.gz"
@@ -86,9 +86,19 @@ class StubPredictor:
         return {"chip": chip, "app": app, "input": inp, "config": config.key(),
                 "predicted_us": 123.0, "times_us": [124.0], "repetitions": 1}
 
+    def price_many(self, points):
+        """Per-item results, failures as :class:`PredictionError` values."""
+        results = []
+        for chip, app, inp, config in points:
+            try:
+                results.append(self.price(chip, app, inp, config))
+            except PredictionError as exc:
+                results.append(exc)
+        return results
+
 
 class BatchStubPredictor(StubPredictor):
-    """A stub exposing ``price_many``, recording batch composition."""
+    """A stub recording batch composition, with an optional batch delay."""
 
     def __init__(self, delay: float = 0.0) -> None:
         super().__init__()
@@ -99,13 +109,7 @@ class BatchStubPredictor(StubPredictor):
         if self.batch_delay:
             time.sleep(self.batch_delay)
         self.batches.append([p[:3] for p in points])
-        results = []
-        for chip, app, inp, config in points:
-            try:
-                results.append(self.price(chip, app, inp, config))
-            except PredictionError as exc:
-                results.append(exc)
-        return results
+        return super().price_many(points)
 
 
 class TestEndpoints:
@@ -157,31 +161,80 @@ class TestEndpoints:
         assert counters["serve.requests.strategy"] == 2
 
     def test_strategy_cache_hit_returns_identical_payload(self, index):
+        """A repeated query gets the same bytes on both answer paths."""
+
         async def go():
             server = StrategyServer(index, recorder=Recorder())
             await server.start()
             try:
-                _, _, raw1 = await http_request(
-                    server.port, "GET", "/v1/strategy?chip=MALI"
-                )
-                _, _, raw2 = await http_request(
-                    server.port, "GET", "/v1/strategy?chip=MALI"
-                )
+                raws = []
+                for query in ("chip=MALI", "chip=MALI", "chip=UNKNOWN",
+                              "chip=UNKNOWN"):
+                    _, _, raw = await http_request(
+                        server.port, "GET", f"/v1/strategy?{query}"
+                    )
+                    raws.append(raw)
                 counters = dict(server.recorder.counters)
-                cache_stats = server.cache.stats()
             finally:
                 await server.stop()
-            return raw1, raw2, counters, cache_stats
+            return raws, counters
 
-        raw1, raw2, counters, cache_stats = run(go())
-        assert raw1 == raw2  # byte-identical, not merely equal
-        # Known lattice coordinates are pre-serialized at build time, so
-        # both requests bypass the TTL cache entirely.
+        raws, counters = run(go())
+        # Byte-identical, not merely equal, on both answer paths.
+        assert raws[0] == raws[1]
+        assert raws[2] == raws[3]
+        # Known lattice coordinates are pre-serialized at build time;
+        # an unknown chip is rendered per request, every time.
         assert counters["serve.answers.precompiled"] == 2
-        assert "serve.cache.hits" not in counters
-        assert "serve.cache.misses" not in counters
-        assert cache_stats["hits"] == 0
-        assert cache_stats["misses"] == 0
+        assert counters["serve.answers.rendered"] == 2
+        assert raws[0] == index.answer(("MALI", None, None))[0]
+
+    def test_every_answer_is_precompiled_or_rendered(self, golden_dataset):
+        """Without refine or 4xx, each strategy and portfolio request
+        takes exactly one of the two answer paths."""
+        strategy = [
+            "chip=MALI", "chip=MALI&app=bfs-wl&input=tiny-road",
+            "chip=UNKNOWN", "app=bfs-wl&input=UNKNOWN", "",
+        ]
+        portfolio = ["chip=MALI", "chip=MALI&k=2", "app=UNKNOWN",
+                     "target=0.9", "chip=R9&app=bfs-wl"]
+
+        async def go():
+            server = StrategyServer(
+                build_index(golden_dataset, portfolios=True),
+                recorder=Recorder(),
+            )
+            await server.start()
+            try:
+                for _ in range(2):
+                    for query in strategy:
+                        status, _, _ = await http_request(
+                            server.port, "GET", f"/v1/strategy?{query}"
+                        )
+                        assert status == 200
+                    for query in portfolio:
+                        status, _, _ = await http_request(
+                            server.port, "GET", f"/v1/portfolio?{query}"
+                        )
+                        assert status == 200
+                counters = dict(server.recorder.counters)
+            finally:
+                await server.stop()
+            return counters
+
+        counters = run(go())
+        assert counters["serve.requests.strategy"] == 10
+        assert counters["serve.requests.strategy"] == (
+            counters["serve.answers.precompiled"]
+            + counters["serve.answers.rendered"]
+        )
+        assert counters["serve.answers.rendered"] == 4
+        assert counters["serve.requests.portfolio"] == 10
+        assert counters["serve.requests.portfolio"] == (
+            counters["serve.portfolio.precompiled"]
+            + counters["serve.portfolio.rendered"]
+        )
+        assert counters["serve.portfolio.rendered"] == 6
 
     def test_strategy_validation_errors(self, index):
         async def go():
@@ -229,7 +282,7 @@ class TestEndpoints:
         assert counters["serve.requests"] == 5
         assert counters["serve.requests.strategy"] == 3
         assert counters["serve.answers.precompiled"] == 3
-        assert metrics["cache"]["size"] == 0  # precompiled path skips it
+        assert "serve.answers.rendered" not in counters
         assert metrics["requests_served"] == 5
         assert "serve.latency_ms" not in metrics["counters"]
         assert "spans" not in metrics  # unbounded; never exposed
