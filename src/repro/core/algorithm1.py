@@ -23,13 +23,15 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..compiler.options import OPT_NAMES, OptConfig, configs_with, disable_opt
 from ..errors import InsufficientDataError
 from ..obs import get_recorder
 from ..study.dataset import PerfDataset, TestCase
-from .significance import significant_difference
+from .cells import CellTable
+from .significance import welch_significant
 from .stats.effect import cl_effect_size
 from .stats.mwu import mann_whitney_u
 from .stats.summary import median
@@ -61,7 +63,7 @@ class OptDecision:
 
 
 class Analysis:
-    """Algorithm 1 over a dataset, with memoised comparisons."""
+    """Algorithm 1 over a dataset, from one per-cell summary table."""
 
     def __init__(
         self,
@@ -78,7 +80,14 @@ class Analysis:
         #: Cell coverage of the analysed dataset; attached to derived
         #: strategies so reports can footnote degraded runs.
         self.coverage = dataset.coverage()
-        self._sig_cache: Dict[Tuple[TestCase, str, str], Optional[float]] = {}
+        #: ``(n, mean, var, median)`` per cell, shared with the
+        #: portfolio set cover and the strategy index.
+        self.cells = CellTable(dataset)
+        # opt -> test -> (significant ratios tagged with their mirror
+        # pair's position in configs_with(opt), missing-pair count).
+        self._comparisons: Dict[
+            str, Dict[TestCase, Tuple[List[Tuple[int, float]], int]]
+        ] = {}
         # None defers to the process-wide current recorder at call time,
         # so ``with obs.recording(rec):`` captures analyses transparently.
         self._recorder = recorder
@@ -88,42 +97,59 @@ class Analysis:
 
     # -- the inner comparison (lines 11-16) -----------------------------
 
-    def _normalised_ratio(
-        self, test: TestCase, enabled_cfg: OptConfig, disabled_cfg: OptConfig
-    ) -> Optional[float]:
-        """Significant normalised runtime for one test, else None."""
-        key = (test, enabled_cfg.key(), disabled_cfg.key())
-        if key not in self._sig_cache:
-            times_on = self.dataset.times(test, enabled_cfg)
-            times_off = self.dataset.times(test, disabled_cfg)
-            if significant_difference(times_on, times_off, self.confidence):
-                ratio = median(times_on) / median(times_off)
-                self._rec().count("analysis.filter.significant")
-            else:
-                ratio = None
-                self._rec().count("analysis.filter.insignificant")
-            self._sig_cache[key] = ratio
-        return self._sig_cache[key]
+    def _test_comparisons(
+        self, test: TestCase, pairs: Sequence[Tuple[str, str]]
+    ) -> Tuple[List[Tuple[int, float]], int]:
+        """One test's significant ``(enabled, disabled)`` mirror-pair
+        ratios, each tagged with its pair index, and the number of
+        pairs with a side never measured (or quarantined), which
+        contribute no sample."""
+        row = self.cells.row(test)
+        ratios: List[Tuple[int, float]] = []
+        missing = significant = 0
+        for i, (on_key, off_key) in enumerate(pairs):
+            on, off = row.get(on_key), row.get(off_key)
+            if on is None or off is None:
+                missing += 1
+            elif welch_significant(on, off, self.confidence):
+                ratios.append((i, on.median / off.median))
+                significant += 1
+        insignificant = len(pairs) - missing - significant
+        rec = self._rec()
+        if significant:
+            rec.count("analysis.filter.significant", significant)
+        if insignificant:
+            rec.count("analysis.filter.insignificant", insignificant)
+        return ratios, missing
 
     def comparison_lists(
         self, tests: Sequence[TestCase], opt: str
     ) -> Tuple[List[float], List[float]]:
-        """Algorithm 1's A and B lists for one optimisation."""
-        a: List[float] = []
-        for cfg in configs_with(opt):
-            mirror = disable_opt(cfg, opt)
-            for test in tests:
-                if not (
-                    self.dataset.has(test, cfg) and self.dataset.has(test, mirror)
-                ):
-                    # Degraded dataset: one side of the mirror pair was
-                    # never measured (or was quarantined), so the pair
-                    # contributes no sample rather than crashing.
-                    self._rec().count("analysis.pairs.missing")
-                    continue
-                ratio = self._normalised_ratio(test, cfg, mirror)
-                if ratio is not None:
-                    a.append(ratio)
+        """Algorithm 1's A and B lists for one optimisation.
+
+        Each (test, mirror pair) comparison runs once per analysis;
+        ``A`` lists the significant ratios mirror pair by mirror pair,
+        tests in the given order within a pair.
+        """
+        per_test = self._comparisons.setdefault(opt, {})
+        pairs = None
+        tagged: List[Tuple[int, float]] = []
+        missing = 0
+        for test in tests:
+            entry = per_test.get(test)
+            if entry is None:
+                if pairs is None:
+                    pairs = [
+                        (cfg.key(), disable_opt(cfg, opt).key())
+                        for cfg in configs_with(opt)
+                    ]
+                entry = per_test[test] = self._test_comparisons(test, pairs)
+            tagged.extend(entry[0])
+            missing += entry[1]
+        if missing:
+            self._rec().count("analysis.pairs.missing", missing)
+        tagged.sort(key=itemgetter(0))  # stable: tests keep their order
+        a = [ratio for _, ratio in tagged]
         return a, [1.0] * len(a)
 
     # -- ENABLE_OPT (lines 20-22) ----------------------------------------

@@ -44,10 +44,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import AnalysisError
 from ..study.dataset import Coverage, PerfDataset, TestCase
 from ..util import geomean
 from .algorithm1 import Analysis
+from .cells import CellTable
 from .strategies import STRATEGY_DIMS, Strategy, build_strategies
 
 __all__ = [
@@ -155,39 +158,46 @@ class PortfolioCurve:
             ) from exc
 
 
-def _partition_medians(
-    dataset: PerfDataset, tests: Sequence[TestCase]
-) -> List[Dict[str, float]]:
-    """Per test: config key -> median, for every measured cell."""
-    rows: List[Dict[str, float]] = []
-    for test in sorted(tests):
-        medians: Dict[str, float] = {}
-        for config in dataset.configs:
-            times = dataset.times_or_none(test, config)
-            if times is not None:
-                ordered = sorted(times)
-                n = len(ordered)
-                mid = n // 2
-                medians[config.key()] = (
-                    ordered[mid]
-                    if n % 2
-                    else (ordered[mid - 1] + ordered[mid]) / 2.0
-                )
-        if medians:
-            rows.append(medians)
-    return rows
+class _MedianMatrix:
+    """A partition's tests × candidate configurations median matrix.
 
+    Rows are the partition's tests with at least one measurement, in
+    sorted order; columns are every configuration measured for any of
+    them, in sorted key order.  A hole is ``inf``.  Each row's oracle
+    (lowest median) and pessimal deploy (highest median) are computed
+    once.
+    """
 
-def _coverage_of(rows: Sequence[Dict[str, float]], configs: Sequence[str]) -> float:
-    """Geomean fraction-of-oracle of a configuration set over ``rows``."""
-    chosen = set(configs)
-    ratios: List[float] = []
-    for medians in rows:
-        oracle = min(medians.values())
-        deployed = [m for key, m in medians.items() if key in chosen]
-        best = min(deployed) if deployed else max(medians.values())
-        ratios.append(oracle / best)
-    return geomean(ratios)
+    def __init__(self, cells: CellTable, tests: Sequence[TestCase]) -> None:
+        rows = [cells.medians(test) for test in sorted(tests)]
+        rows = [row for row in rows if row]
+        self.candidates: List[str] = sorted({k for row in rows for k in row})
+        self._column = {key: j for j, key in enumerate(self.candidates)}
+        self.values = np.full((len(rows), len(self.candidates)), np.inf)
+        for i, row in enumerate(rows):
+            for key, med in row.items():
+                self.values[i, self._column[key]] = med
+        self.oracle = np.array([min(row.values()) for row in rows])
+        self.worst = np.array([max(row.values()) for row in rows])
+
+    @property
+    def n_tests(self) -> int:
+        return len(self.oracle)
+
+    def best_of(self, configs: Sequence[str]) -> np.ndarray:
+        """Per test, the lowest median of ``configs`` (``inf`` if none
+        of them was measured for the test)."""
+        best = np.full(self.n_tests, np.inf)
+        for key in configs:
+            if key in self._column:
+                np.minimum(best, self.values[:, self._column[key]], out=best)
+        return best
+
+    def coverage(self, best: np.ndarray) -> float:
+        """Geomean fraction-of-oracle of a per-test best vector; tests
+        with no deployed configuration count their pessimal deploy."""
+        deployed = np.where(np.isinf(best), self.worst, best)
+        return geomean((self.oracle / deployed).tolist())
 
 
 def portfolio_coverage(
@@ -202,7 +212,8 @@ def portfolio_coverage(
     measured configuration (the pessimal deploy), and tests with no
     measurements at all are skipped.
     """
-    return _coverage_of(_partition_medians(dataset, tests), configs)
+    matrix = _MedianMatrix(CellTable(dataset), tests)
+    return matrix.coverage(matrix.best_of(configs))
 
 
 def greedy_portfolio(
@@ -222,34 +233,59 @@ def greedy_portfolio(
     coverage gain, ties broken by lexicographic configuration key.
     Stops at coverage 1.0, at ``k_max``, or when no candidate gains.
     """
-    rows = _partition_medians(dataset, tests)
-    curve = PortfolioCurve(level=level, key=key, n_tests=len(rows))
-    if not rows:
+    return _greedy(
+        _MedianMatrix(CellTable(dataset), tests),
+        level=level,
+        key=key,
+        seed=seed,
+        k_max=k_max,
+    )
+
+
+def _greedy(
+    matrix: _MedianMatrix,
+    *,
+    level: str,
+    key: Tuple[str, ...],
+    seed: Optional[str],
+    k_max: Optional[int],
+) -> PortfolioCurve:
+    """:func:`greedy_portfolio` over a prepared median matrix.
+
+    A running per-test best vector (``inf`` before anything is chosen)
+    stands for the chosen set: a candidate's coverage is that of
+    ``min(best, its column)``.  A candidate that lowers no test's best
+    (every chosen one among them) cannot gain, so it is not re-scored.
+    """
+    curve = PortfolioCurve(level=level, key=key, n_tests=matrix.n_tests)
+    if not matrix.n_tests:
         return curve
-    candidates = sorted({key for medians in rows for key in medians})
     chosen: List[str] = []
+    best = np.full(matrix.n_tests, np.inf)
     coverage = 0.0
     if seed is not None:
         chosen.append(seed)
-        coverage = _coverage_of(rows, chosen)
+        best = matrix.best_of(chosen)
+        coverage = matrix.coverage(best)
         curve.steps.append(
             PortfolioStep(config=seed, coverage=coverage, gain=coverage)
         )
     while coverage < 1.0 and (k_max is None or len(chosen) < k_max):
-        best_key: Optional[str] = None
+        best_j: Optional[int] = None
         best_cov = coverage
-        for candidate in candidates:
-            if candidate in chosen:
-                continue
-            cov = _coverage_of(rows, chosen + [candidate])
+        for j, column in enumerate(matrix.values.T):
+            if not (column < best).any():
+                continue  # chosen already, or no test would gain
+            cov = matrix.coverage(np.minimum(best, column))
             if cov > best_cov:
-                best_key, best_cov = candidate, cov
-        if best_key is None:
+                best_j, best_cov = j, cov
+        if best_j is None:
             break
-        chosen.append(best_key)
+        chosen.append(matrix.candidates[best_j])
+        np.minimum(best, matrix.values[:, best_j], out=best)
         curve.steps.append(
             PortfolioStep(
-                config=best_key,
+                config=chosen[-1],
                 coverage=best_cov,
                 gain=best_cov - coverage,
             )
@@ -345,9 +381,8 @@ def build_portfolios(
         cells: Dict[Tuple[str, ...], PortfolioCurve] = {}
         for key in sorted(partitions):
             seed_config = strategies[level].assignment.get(key)
-            cells[key] = greedy_portfolio(
-                dataset,
-                partitions[key],
+            cells[key] = _greedy(
+                _MedianMatrix(analysis.cells, partitions[key]),
                 level=level,
                 key=key,
                 seed=seed_config.key() if seed_config is not None else None,

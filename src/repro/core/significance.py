@@ -21,10 +21,30 @@ from typing import Sequence
 import numpy as np
 
 from .. import obs
-from .stats.summary import median
-from .stats.tdist import t_ppf
+from .stats.summary import CellSummary, median, summarise
+from .stats.tdist import t_cdf, t_ppf
 
-__all__ = ["significant_difference", "classify_outcome", "welch_interval"]
+__all__ = [
+    "classify_outcome",
+    "significant_difference",
+    "welch_interval",
+    "welch_significant",
+]
+
+#: Variance floor for degenerate zero-variance samples, so the Welch
+#: statistic stays well-defined (timing data is never exactly
+#: constant, but simulated data can be).
+_VAR_FLOOR = 1e-24
+
+
+def _welch_terms(va: float, na: int, vb: float, nb: int):
+    """(se², df) of the Welch difference of two sample means."""
+    va, vb = max(va, _VAR_FLOOR), max(vb, _VAR_FLOOR)
+    se_sq = va / na + vb / nb
+    df = se_sq ** 2 / (
+        (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
+    )
+    return se_sq, max(df, 1.0)
 
 
 def welch_interval(
@@ -33,43 +53,51 @@ def welch_interval(
     """Welch CI for mean(a) - mean(b); returns (low, high).
 
     Degenerate zero-variance samples get a tiny floor variance so the
-    interval stays well-defined (timing data is never exactly
-    constant, but simulated data can be).
+    interval stays well-defined.  For a yes/no verdict use
+    :func:`welch_significant`, which needs no quantile.
     """
     obs.count("analysis.welch_intervals")
     a = np.asarray(list(a), dtype=np.float64)
     b = np.asarray(list(b), dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise ValueError("Welch interval needs at least two samples per side")
-    va = max(float(a.var(ddof=1)), 1e-24)
-    vb = max(float(b.var(ddof=1)), 1e-24)
-    na, nb = a.size, b.size
-    se_sq = va / na + vb / nb
-    df = se_sq ** 2 / (
-        (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
+    se_sq, df = _welch_terms(
+        float(a.var(ddof=1)), a.size, float(b.var(ddof=1)), b.size
     )
-    t_crit = t_ppf(0.5 + confidence / 2.0, max(df, 1.0))
+    t_crit = t_ppf(0.5 + confidence / 2.0, df)
     diff = float(a.mean() - b.mean())
     half = t_crit * math.sqrt(se_sq)
     return diff - half, diff + half
 
 
+def welch_significant(
+    a: CellSummary, b: CellSummary, confidence: float = 0.95
+) -> bool:
+    """Whether two summarised samples differ at the given confidence.
+
+    The Welch interval excludes zero exactly when the t statistic
+    ``|mean(a) - mean(b)| / se`` lies beyond the ``0.5 + confidence/2``
+    quantile, so one t-CDF evaluation decides it.  A side with fewer
+    than two repetitions carries no variance information: no
+    significant difference can be established, and single-repetition
+    (degraded) data classifies as no-change instead of crashing the
+    analysis.
+    """
+    if a.n < 2 or b.n < 2:
+        obs.count("analysis.pairs.single_sample")
+        return False
+    obs.count("analysis.welch_intervals")
+    se_sq, df = _welch_terms(a.var, a.n, b.var, b.n)
+    t = abs(a.mean - b.mean) / math.sqrt(se_sq)
+    return t_cdf(t, df) > 0.5 + confidence / 2.0
+
+
 def significant_difference(
     a: Sequence[float], b: Sequence[float], confidence: float = 0.95
 ) -> bool:
-    """Whether two timing samples differ at the given confidence.
-
-    A side with fewer than two repetitions carries no variance
-    information, so no confidence interval — and hence no significant
-    difference — can be established: single-repetition (degraded)
-    data classifies as no-change instead of crashing the analysis.
-    """
-    a, b = list(a), list(b)
-    if len(a) < 2 or len(b) < 2:
-        obs.count("analysis.pairs.single_sample")
-        return False
-    low, high = welch_interval(a, b, confidence)
-    return low > 0.0 or high < 0.0
+    """Whether two timing samples differ at the given confidence
+    (:func:`welch_significant` on their summaries)."""
+    return welch_significant(summarise(a), summarise(b), confidence)
 
 
 def classify_outcome(

@@ -10,7 +10,6 @@ Numerical Recipes style); validated against SciPy in the tests.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 __all__ = ["t_cdf", "t_ppf", "betainc_regularized"]
 
@@ -83,13 +82,8 @@ def t_cdf(t: float, df: float) -> float:
     return 1.0 - tail if t > 0 else tail
 
 
-@lru_cache(maxsize=65536)
 def t_ppf(q: float, df: float) -> float:
-    """Quantile (inverse CDF) of Student's t, by bisection.
-
-    Cached: the significance filter calls this for every timing
-    comparison with a small set of recurring degrees of freedom.
-    """
+    """Quantile (inverse CDF) of Student's t, by bisection."""
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     if q == 0.5:

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.options import BASELINE, OptConfig
-from ..errors import AnalysisError
+from ..errors import AnalysisError, DatasetError
 from ..study.dataset import Coverage, PerfDataset, TestCase
 from .algorithm1 import Analysis
+from .cells import CellTable
 
 __all__ = [
     "Strategy",
@@ -148,10 +149,24 @@ def oracle_assignment(
     dataset: PerfDataset, tests: Optional[Sequence[TestCase]] = None
 ) -> Dict[Tuple, OptConfig]:
     """Best configuration per (app, input, chip), queried exhaustively."""
-    tests = list(tests) if tests is not None else dataset.tests
-    return {
-        (t.app, t.graph, t.chip): dataset.best_config(t) for t in tests
-    }
+    return _oracle_from(dataset, CellTable(dataset), tests)
+
+
+def _oracle_from(
+    dataset: PerfDataset,
+    cells: CellTable,
+    tests: Optional[Sequence[TestCase]] = None,
+) -> Dict[Tuple, OptConfig]:
+    """:func:`oracle_assignment` read off a prepared cell table; the
+    same configurations :meth:`PerfDataset.best_config` picks."""
+    configs = {config.key(): config for config in dataset.configs}
+    assignment: Dict[Tuple, OptConfig] = {}
+    for t in tests if tests is not None else dataset.tests:
+        best = cells.oracle(t)
+        if best is None:
+            raise DatasetError(f"no measurements at all for {t}")
+        assignment[(t.app, t.graph, t.chip)] = configs[best]
+    return assignment
 
 
 def save_strategies(strategies: Dict[str, Strategy], path: str) -> None:
@@ -189,7 +204,7 @@ def build_strategies(
     strategies["oracle"] = Strategy(
         "oracle",
         ("app", "input", "chip"),
-        oracle_assignment(dataset),
+        _oracle_from(dataset, analysis.cells),
         coverage=cov,
     )
     return strategies

@@ -54,6 +54,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..compiler.options import BASELINE, OptConfig
 from ..core.algorithm1 import SPECIALISATION_DIMS, Analysis
+from ..core.cells import CellTable
 from ..core.portfolio import (
     DEFAULT_TARGET,
     PortfolioCurve,
@@ -781,10 +782,10 @@ def _config_label(config_key: str) -> str:
 
 
 def _entry_metadata(
-    dataset: PerfDataset,
+    cells: CellTable,
     tests: Sequence[TestCase],
-    config: OptConfig,
-    oracle: Dict[TestCase, Optional[OptConfig]],
+    config_key: str,
+    oracle: Dict[TestCase, Optional[str]],
     n_configs: int,
 ) -> Tuple[Optional[float], Optional[float], int, int]:
     """(expected_speedup, slowdown_vs_oracle, cells_present, cells_expected)."""
@@ -792,34 +793,20 @@ def _entry_metadata(
     slowdowns: List[float] = []
     cells_present = 0
     for test in tests:
-        times_cfg = dataset.times_or_none(test, config)
-        times_base = dataset.times_or_none(test, BASELINE)
-        if times_cfg is not None and times_base is not None:
-            m_cfg = _median(times_cfg)
-            speedups.append(_median(times_base) / m_cfg)
-            best = oracle.get(test)
+        row = cells.row(test)
+        cfg, base = row.get(config_key), row.get(BASELINE.key())
+        if cfg is not None and base is not None:
+            speedups.append(base.median / cfg.median)
+            best = row.get(oracle.get(test))
             if best is not None:
-                times_best = dataset.times_or_none(test, best)
-                if times_best is not None:
-                    slowdowns.append(m_cfg / _median(times_best))
-        for cfg in dataset.configs:
-            if dataset.has(test, cfg):
-                cells_present += 1
+                slowdowns.append(cfg.median / best.median)
+        cells_present += len(row)
     return (
         geomean(speedups) if speedups else None,
         geomean(slowdowns) if slowdowns else None,
         cells_present,
         len(tests) * n_configs,
     )
-
-
-def _median(times: Tuple[float, ...]) -> float:
-    ordered = sorted(times)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def build_index(
@@ -856,12 +843,8 @@ def build_index(
             strategies = build_strategies(clean, analysis)
 
         n_configs = len(clean.configs)
-        oracle: Dict[TestCase, Optional[OptConfig]] = {}
-        for test in clean.tests:
-            try:
-                oracle[test] = clean.best_config(test)
-            except Exception:  # a test with no measurements at all
-                oracle[test] = None
+        table = analysis.cells
+        oracle = {test: table.oracle(test) for test in clean.tests}
 
         levels: Dict[str, Dict[Tuple[str, ...], IndexEntry]] = {}
         for level, dims in STRATEGY_DIMS.items():
@@ -871,7 +854,7 @@ def build_index(
                 for key, config in strategies[level].assignment.items():
                     tests = partitions.get(key, [])
                     speedup, slowdown, present, expected = _entry_metadata(
-                        clean, tests, config, oracle, n_configs
+                        table, tests, config.key(), oracle, n_configs
                     )
                     cells[key] = IndexEntry(
                         level=level,
@@ -892,7 +875,7 @@ def build_index(
         # quantifies what giving up entirely costs.
         all_tests = clean.tests
         speedup, slowdown, present, expected = _entry_metadata(
-            clean, all_tests, BASELINE, oracle, n_configs
+            table, all_tests, BASELINE.key(), oracle, n_configs
         )
         levels["baseline"] = {
             (): IndexEntry(

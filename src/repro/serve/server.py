@@ -1312,7 +1312,7 @@ def _worker_main(  # pragma: no cover - forked child, exercised e2e
     from ..obs import Recorder
 
     index = StrategyIndex.load(opts["index"])
-    recorder = Recorder() if opts["metrics"] else None
+    recorder = Recorder()
     server = _make_server(
         index,
         opts,
@@ -1341,9 +1341,7 @@ def _worker_main(  # pragma: no cover - forked child, exercised e2e
         async def _heartbeat(interval: float) -> None:
             while True:
                 await asyncio.sleep(interval)
-                snapshot = (
-                    recorder.drain() if recorder is not None else None
-                )
+                snapshot = recorder.drain()
                 delta = server.requests_served - reported["requests"]
                 reported["requests"] = server.requests_served
                 queue.put(("heartbeat", worker_id, snapshot, delta))
@@ -1364,12 +1362,11 @@ def _worker_main(  # pragma: no cover - forked child, exercised e2e
         asyncio.run(_run())
     except KeyboardInterrupt:  # pragma: no cover - non-POSIX fallback
         pass
-    snapshot = recorder.drain() if recorder is not None else None
     queue.put(
         (
             "metrics",
             worker_id,
-            snapshot,
+            recorder.drain(),
             server.requests_served - reported["requests"],
         )
     )
@@ -1531,8 +1528,7 @@ def _serve_workers(  # pragma: no cover - subprocess-only, exercised e2e
                             )
                     elif kind in ("heartbeat", "metrics"):
                         snapshot, delta = message[2], message[3]
-                        if snapshot is not None:
-                            recorder.merge(snapshot)
+                        recorder.merge(snapshot)
                         per_worker[wid] = per_worker.get(wid, 0) + delta
                 if not state["stopping"]:
                     for event in supervisor.poll():
@@ -1873,7 +1869,8 @@ def main(argv=None) -> int:
     if args.workers > 1:
         return _serve_workers(args, index)
 
-    rec = Recorder() if args.metrics else None
+    # Always record, so /metrics counts; --metrics only adds the report.
+    rec = Recorder()
     try:
         server = _make_server(index, vars(args), recorder=rec)
     except ServeError as exc:
@@ -1916,7 +1913,7 @@ def main(argv=None) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:  # pragma: no cover - non-POSIX fallback
         pass
-    if rec is not None:
+    if args.metrics:
         save_run_report(
             rec,
             args.metrics,

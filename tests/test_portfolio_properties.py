@@ -13,7 +13,10 @@ random per-cell timings, random holes — and checks the invariants the
 * K = #configs reaches 100 % of oracle, exactly (each covered test's
   ratio is float-exactly 1.0, so the geomean is too);
 * the greedy output is deterministic under dict-order shuffling of the
-  dataset's insertion order (all internal orderings are canonical).
+  dataset's insertion order (all internal orderings are canonical);
+* the median-matrix greedy matches, step for step and float for float,
+  a test-local dict-scan greedy that re-scores every candidate from
+  each test's per-config median dict.
 
 Integer-valued timings keep medians and ratios exact across orderings.
 """
@@ -36,6 +39,7 @@ from repro.core import (
     portfolio_coverage,
 )
 from repro.study.dataset import PerfDataset, TestCase
+from repro.util import geomean
 
 CHIPS = ("chipA", "chipB")
 APPS = ("appX", "appY")
@@ -44,7 +48,7 @@ CONFIGS = enumerate_configs()[:8]  # baseline + 7 single/double-opt configs
 
 
 @st.composite
-def studies(draw) -> PerfDataset:
+def studies(draw, timings=st.integers(1, 40).map(float)) -> PerfDataset:
     """A random small study: grid shape, timings and holes all drawn.
 
     The baseline configuration is always measured (so every test stays
@@ -63,8 +67,8 @@ def studies(draw) -> PerfDataset:
                 for config in CONFIGS[:n_configs]:
                     if not config.is_baseline and draw(st.booleans()):
                         continue  # a hole in the grid
-                    ms = draw(st.integers(1, 40))
-                    ds.add(test, config, [float(ms)] * 3)
+                    ms = draw(timings)
+                    ds.add(test, config, [ms] * 3)
     return ds
 
 
@@ -177,3 +181,84 @@ def test_coverage_of_any_prefix_matches_public_recomputation(ds, k):
     assert curve.coverage_at(k) == pytest.approx(
         portfolio_coverage(ds, ds.tests, curve.configs_for(k))
     )
+
+
+def _dict_scan_rows(ds, tests):
+    """Per test (sorted, measured ones only): config key -> median."""
+    rows = []
+    for test in sorted(tests):
+        medians = {}
+        for config in ds.configs:
+            times = ds.times_or_none(test, config)
+            if times is not None:
+                medians[config.key()] = statistics.median(times)
+        if medians:
+            rows.append(medians)
+    return rows
+
+
+def _dict_scan_coverage(rows, configs):
+    chosen = set(configs)
+    ratios = []
+    for medians in rows:
+        oracle = min(medians.values())
+        deployed = [m for key, m in medians.items() if key in chosen]
+        best = min(deployed) if deployed else max(medians.values())
+        ratios.append(oracle / best)
+    return geomean(ratios)
+
+
+def _dict_scan_greedy(ds, tests, seed, k_max):
+    """The greedy set cover re-scoring every candidate set in full:
+    [(config, coverage, gain), ...]."""
+    rows = _dict_scan_rows(ds, tests)
+    if not rows:
+        return []
+    candidates = sorted({key for medians in rows for key in medians})
+    chosen, steps, coverage = [], [], 0.0
+    if seed is not None:
+        chosen.append(seed)
+        coverage = _dict_scan_coverage(rows, chosen)
+        steps.append((seed, coverage, coverage))
+    while coverage < 1.0 and (k_max is None or len(chosen) < k_max):
+        best_key, best_cov = None, coverage
+        for candidate in candidates:
+            if candidate in chosen:
+                continue
+            cov = _dict_scan_coverage(rows, chosen + [candidate])
+            if cov > best_cov:
+                best_key, best_cov = candidate, cov
+        if best_key is None:
+            break
+        chosen.append(best_key)
+        steps.append((best_key, best_cov, best_cov - coverage))
+        coverage = best_cov
+    return steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        studies(),
+        studies(timings=st.floats(0.5, 40.0, allow_nan=False)),
+    ),
+    st.data(),
+)
+def test_greedy_matches_the_dict_scan_oracle_exactly(ds, data):
+    seeds = [None, "no-such-config"] + [c.key() for c in ds.configs]
+    k_max = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+    for dims in ((), ("chip",), ("app", "input")):
+        for key, tests in Analysis(ds).partitions(dims).items():
+            seed = data.draw(st.sampled_from(seeds))
+            curve = greedy_portfolio(
+                ds, tests, level="x", key=key, seed=seed, k_max=k_max
+            )
+            got = [(s.config, s.coverage, s.gain) for s in curve.steps]
+            assert got == _dict_scan_greedy(ds, tests, seed, k_max)
+            rows = _dict_scan_rows(ds, tests)
+            assert curve.n_tests == len(rows)
+            for k in range(1, len(got) + 1):
+                configs = curve.configs_for(k)
+                assert portfolio_coverage(
+                    ds, tests, configs
+                ) == _dict_scan_coverage(rows, configs)

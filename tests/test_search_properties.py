@@ -92,15 +92,24 @@ def _drive(ds, test, name, budget, seed=0):
 @settings(max_examples=20, deadline=None)
 @given(studies(), st.sampled_from(STRATEGY_NAMES), st.integers(1, 12))
 def test_spent_never_exceeds_budget(ds, name, budget):
+    # Successive halving's fidelity rungs at 3 repetitions (1, 2, 3 for
+    # eta 2); the other strategies observe at full fidelity only.
+    rungs = make_strategy(
+        "halving", ds.configs, budget=1, rng=random.Random(0), repetitions=3
+    )._rungs()
     for test in ds.tests:
         searcher = _drive(ds, test, name, budget)
         assert searcher.spent <= budget + _EPS
+        # Each config is observed at most once per fidelity rung: the
+        # leftover-budget confirmation only tops a config up to a
+        # fidelity it has not reached.
+        observed = [(obs.config, obs.n_times) for obs in searcher.history]
+        assert len(observed) == len(set(observed))
+        assert {n for _, n in observed} <= set(rungs)
         # The replay harness reports the same accounting.
         result = replay_search(ds, test, name, budget)
         assert result.spent <= budget + _EPS
-        # Each config is observed at most once per fidelity rung
-        # (1 rep, then full) — never more.
-        assert result.evaluations <= 2 * len(ds.configs)
+        assert result.evaluations <= len(rungs) * len(ds.configs)
 
 
 @settings(max_examples=20, deadline=None)

@@ -278,6 +278,23 @@ class TestServeE2E:
         assert report["counters"]["serve.responses.2xx"] == 4
         assert report["meta"]["requests"] == 4
 
+    def test_metrics_count_without_a_report_path(self, index_path):
+        # --metrics only decides whether a report file is written;
+        # /metrics counts either way.
+        server = ServerProcess(index_path)
+        try:
+            status, _ = server.get("/v1/strategy?chip=UNKNOWN&app=bfs-wl")
+            assert status == 200
+            status, body = server.get("/metrics")
+            assert status == 200
+            counters = json.loads(body)["counters"]
+            assert counters["serve.answers.rendered"] == 1
+            code, stderr = server.finish()
+        finally:
+            server.kill()
+        assert code == 0
+        assert "run report" not in stderr
+
     def test_sigint_also_exits_cleanly(self, index_path):
         server = ServerProcess(index_path)
         try:
