@@ -21,9 +21,8 @@ subprocess — wall time, peak RSS, and coverage-touch cost — yielding
 ``--scope 10x`` sweeps the full 17-application registry across all six
 chips (~29k cells, ~10x the full scope) with the batch engine only
 (the scalar reference would take minutes for no extra signal), plus a
-``--jobs`` sweep through the columnar spill/merge path.  It is gated
-behind the explicit flag so ``--quick`` and the tier-1 tests stay
-fast.
+``--jobs`` sweep of the same grid.  It is gated behind the explicit
+flag so ``--quick`` and the tier-1 tests stay fast.
 
 Results go to ``BENCH_study.json`` at the repository root.
 

@@ -6,7 +6,8 @@ epilog and the tests can never disagree about what exists.
 
 * ``study`` — run the full study and save the dataset (delegates to
   :mod:`repro.study.runner`; checkpointed, resumable, shardable over
-  worker processes; ``--store v3`` spills binary columnar shards);
+  worker processes; an ``OUTPUT`` ending in ``.v3`` is written as a
+  binary columnar dataset);
 * ``dataset`` — convert between the JSON ``perf-dataset-v2`` family
   and the binary columnar ``perf-dataset-v3``, inspect headers, and
   run full checksum verification (:mod:`repro.store.cli`);

@@ -36,7 +36,7 @@ SUBCOMMANDS: List[Tuple[str, str, str]] = [
         "study",
         "OUTPUT [--scale S] [--repetitions N] [--jobs N] [--engine E]\n"
         "        [--resume] [--checkpoint DIR] [--retries N]\n"
-        "        [--shard-timeout S] [--store S] [--metrics PATH]",
+        "        [--shard-timeout S] [--metrics PATH]",
         "run the full study (checkpointed; resumable)",
     ),
     (

@@ -118,11 +118,10 @@ def _corrupt(path: str, reason: str) -> DatasetError:
 class ColumnWriter:
     """Append-only builder of a ``perf-dataset-v3`` payload.
 
-    Cells are appended one at a time (:meth:`add`) or a whole chunk at
-    once (:meth:`append_chunk`, segment concatenation — the parallel
-    study runner's merge path).  :meth:`commit` writes the file
-    atomically (temp + rename), so an interrupted commit leaves the
-    previous complete file in place.
+    Cells are appended one at a time (:meth:`add`), in the order they
+    will appear on disk.  :meth:`commit` writes the file atomically
+    (temp + rename), so an interrupted commit leaves the previous
+    complete file in place.
 
     Re-adding a cell with identical timings is a no-op; differing
     timings raise :class:`~repro.errors.DatasetError`, mirroring
@@ -195,61 +194,6 @@ class ColumnWriter:
         self._cells.append(c_idx)
         self._times.extend(vals)
         self._offsets.append(len(self._times))
-
-    def append_chunk(self, chunk: "ColumnarDataset") -> None:
-        """Concatenate a whole chunk's columns onto this writer.
-
-        The chunk's timing column is appended as raw bytes (one
-        ``frombytes``, no per-cell materialisation); only the small
-        index columns are remapped through this writer's interned
-        tables.  A chunk sharing cells with already-written data falls
-        back to the per-cell :meth:`add` path so the duplicate check
-        still applies.
-        """
-        tabs = chunk.string_tables()
-        app_map = [self._intern(self._apps, a) for a in tabs["apps"]]
-        graph_map = [self._intern(self._graphs, g) for g in tabs["inputs"]]
-        chip_map = [self._intern(self._chips, c) for c in tabs["chips"]]
-        cfg_map = [
-            self._intern(self._config_keys, k) for k in tabs["configs"]
-        ]
-        rows = chunk._test_rows
-        test_map = []
-        for i in range(len(rows)):
-            a, g, c = (int(rows[i, 0]), int(rows[i, 1]), int(rows[i, 2]))
-            test_map.append(
-                self._intern_test_row(app_map[a], graph_map[g], chip_map[c])
-            )
-        cells = chunk._cell_rows
-        if any(
-            (test_map[int(cells[i, 0])], cfg_map[int(cells[i, 1])])
-            in self._cell_index
-            for i in range(len(cells))
-        ):
-            for test, key, times in chunk.iter_cells():
-                self.add(test, key, times)
-            return
-        base = len(self._times)
-        self._times.frombytes(bytes(chunk._times_raw()))
-        if sys.byteorder == "big":  # pragma: no cover - LE hosts everywhere
-            swapped = self._times[base:]
-            swapped.byteswap()
-            self._times[base:] = swapped
-        offs = chunk._offset_column
-        for i in range(len(cells)):
-            t_idx = test_map[int(cells[i, 0])]
-            c_idx = cfg_map[int(cells[i, 1])]
-            self._cell_index[(t_idx, c_idx)] = len(self._offsets) - 1
-            self._cells.append(t_idx)
-            self._cells.append(c_idx)
-            self._offsets.append(base + int(offs[i + 1]))
-
-    def _intern_test_row(self, a: int, g: int, c: int) -> int:
-        idx = self._tests.get((a, g, c))
-        if idx is None:
-            idx = len(self._tests)
-            self._tests[(a, g, c)] = idx
-        return idx
 
     # -- serialisation ---------------------------------------------------
 
@@ -717,7 +661,6 @@ class ColumnarDataset(PerfDataset):
         self._buf = buf
         self._parsed = parsed
         self._test_list = test_list
-        self._test_rows = parsed.test_rows
         self._cell_rows = parsed.cell_rows
         self._offset_column = parsed.offsets
         self._time_column = parsed.times
@@ -780,20 +723,6 @@ class ColumnarDataset(PerfDataset):
 
     # -- introspection ----------------------------------------------------
 
-    def string_tables(self) -> Dict[str, List[str]]:
-        """The four interned axis tables, in on-disk (first-use) order."""
-        return {
-            "apps": list(self._parsed.apps),
-            "inputs": list(self._parsed.graphs),
-            "chips": list(self._parsed.chips),
-            "configs": list(self._parsed.config_keys),
-        }
-
-    def _times_raw(self):
-        """The raw little-endian bytes of the times column."""
-        offset, length, _ = self._parsed.sections["times"]
-        return memoryview(self._buf)[offset : offset + length]
-
     def verify(self) -> None:
         """Full integrity walk: every section checksum, times included.
 
@@ -810,7 +739,7 @@ class ColumnarDataset(PerfDataset):
         if isinstance(self._buf, mmap.mmap):
             # The index columns are zero-copy views into the mmap; drop
             # them first or the close would fail with exported pointers.
-            self._test_rows = self._cell_rows = None
+            self._cell_rows = None
             self._offset_column = self._time_column = None
             self._table = None
             try:

@@ -13,18 +13,17 @@ Layout of a checkpoint directory::
       manifest.json              {"format", "fingerprint", "n_chips",
                                   "n_configs"}
       shard-<chip>-<config>.json {"task", "rows", "checksum"}
-      shard-<chip>-<config>.v3   columnar chunk (store="v3" sweeps)
       traces-<fingerprint>.bin   shared compiled-trace cache (optional)
       metrics.json               {"segments", "checksum"} (optional)
 
 Every file is written atomically (temp + rename) with a SHA-256
 checksum, so a crash can at worst lose the shard being written, never
 corrupt one already recorded; invalid shards found on resume are
-dropped and simply re-priced.  A columnar (``store="v3"``) sweep's
-workers spill each shard as a ``perf-dataset-v3`` chunk which
-:meth:`StudyCheckpoint.record_chunk` renames into place — the same
-bytes serve as the checkpoint shard and the parent's merge input, so
-nothing is re-serialised.
+dropped and simply re-priced.  This module owns the one shard format:
+:data:`SHARD_RE` names shard files, :func:`read_manifest` parses the
+manifest and :func:`read_shard` accepts or rejects a shard.  Resume
+and ``repro doctor`` both read through them, so a shard is judged by
+the same rule wherever it is read.
 
 The manifest carries the study's *fingerprint* — a stable hash over
 the chips, configurations, repetitions, engine, inputs and collected
@@ -41,10 +40,16 @@ import os
 import re
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import CheckpointError, DatasetError
+from ..errors import CheckpointError
 from ..util import atomic_write_text, sha256_hex, stable_hash
 
-__all__ = ["StudyCheckpoint", "study_fingerprint"]
+__all__ = [
+    "SHARD_RE",
+    "StudyCheckpoint",
+    "read_manifest",
+    "read_shard",
+    "study_fingerprint",
+]
 
 #: Format tag of checkpoint manifests and shards.
 CHECKPOINT_FORMAT = "study-checkpoint-v1"
@@ -52,10 +57,11 @@ CHECKPOINT_FORMAT = "study-checkpoint-v1"
 #: A shard's rows: (application, input, timings) per priced trace.
 ShardRows = List[Tuple[str, str, List[float]]]
 
-_SHARD_RE = re.compile(r"^shard-(\d+)-(\d+)\.(json|v3)$")
+#: File name of one shard; the groups are its (chip, config) task.
+SHARD_RE = re.compile(r"^shard-(\d+)-(\d+)\.json$")
 
-#: Worker spill chunks not yet renamed into shards, and trace caches.
-_SPILL_RE = re.compile(r"^(chunk-\d+-\d+\.v3|traces-[0-9a-f]+\.bin)$")
+#: Shared compiled-trace caches written next to the shards.
+_TRACES_RE = re.compile(r"^traces-[0-9a-f]+\.bin$")
 
 
 def study_fingerprint(config, engine: str, traces: Dict[tuple, object]) -> str:
@@ -86,6 +92,65 @@ def study_fingerprint(config, engine: str, traces: Dict[tuple, object]) -> str:
     return f"{stable_hash(*parts):016x}"
 
 
+def read_manifest(directory: str) -> Tuple[Optional[dict], Optional[str]]:
+    """(manifest, None) for a valid checkpoint manifest, else (None, reason)."""
+    path = os.path.join(directory, StudyCheckpoint.MANIFEST)
+    if not os.path.exists(path):
+        return None, "no manifest.json (not a checkpoint, or never opened)"
+    try:
+        with open(path, encoding="utf-8") as f:
+            manifest = json.load(f)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return None, f"unreadable manifest.json ({exc})"
+    if not isinstance(manifest, dict):
+        return None, "manifest.json is not an object"
+    if manifest.get("format") != CHECKPOINT_FORMAT:
+        return None, (
+            f"unrecognised manifest format {manifest.get('format')!r} "
+            f"(expected {CHECKPOINT_FORMAT!r})"
+        )
+    return manifest, None
+
+
+def read_shard(
+    path: str, task: Tuple[int, int]
+) -> Tuple[Optional[ShardRows], Optional[str]]:
+    """(rows, None) for a valid shard file, else (None, reason).
+
+    A shard is valid when it parses, its ``task`` field matches the
+    ``task`` its file name gives, and its rows match their checksum.
+    Whether the task lies inside the grid is the caller's question.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            payload = json.load(f)
+    except OSError as exc:
+        return None, f"unreadable ({exc})"
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None, "truncated or invalid JSON"
+    if not isinstance(payload, dict):
+        return None, "not a shard object"
+    if payload.get("task") != [task[0], task[1]]:
+        return None, (
+            f"task field {payload.get('task')!r} disagrees with the "
+            f"file name"
+        )
+    try:
+        body = json.dumps(payload["rows"], separators=(",", ":"))
+    except (KeyError, TypeError, ValueError):
+        return None, "missing or unserialisable rows"
+    if sha256_hex(body) != payload.get("checksum"):
+        return None, "checksum mismatch (modified or partially written)"
+    try:
+        rows = [
+            (str(app), str(inp), [float(t) for t in times])
+            for app, inp, times in payload["rows"]
+        ]
+    except (TypeError, ValueError):
+        return None, "malformed rows"
+    return rows, None
+
+
 class StudyCheckpoint:
     """A directory of completed pricing shards, written as they finish."""
 
@@ -104,29 +169,17 @@ class StudyCheckpoint:
     def _manifest_path(self) -> str:
         return os.path.join(self.directory, self.MANIFEST)
 
-    def _shard_path(self, task: Tuple[int, int], ext: str = "json") -> str:
+    def _shard_path(self, task: Tuple[int, int]) -> str:
         return os.path.join(
-            self.directory, f"shard-{task[0]:04d}-{task[1]:04d}.{ext}"
+            self.directory, f"shard-{task[0]:04d}-{task[1]:04d}.json"
         )
 
     def _read_manifest(self):
-        try:
-            with open(self._manifest_path()) as f:
-                manifest = json.load(f)
-        except FileNotFoundError:
+        if not os.path.exists(self._manifest_path()):
             return None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"unreadable checkpoint manifest in {self.directory!r}: {exc}"
-            ) from exc
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("format") != CHECKPOINT_FORMAT
-        ):
-            raise CheckpointError(
-                f"checkpoint {self.directory!r} has an unrecognised manifest "
-                f"format (expected {CHECKPOINT_FORMAT!r})"
-            )
+        manifest, problem = read_manifest(self.directory)
+        if manifest is None:
+            raise CheckpointError(f"checkpoint {self.directory!r}: {problem}")
         return manifest
 
     def open(
@@ -187,8 +240,8 @@ class StudyCheckpoint:
             if (
                 name == self.MANIFEST
                 or name == self.METRICS
-                or _SHARD_RE.match(name)
-                or _SPILL_RE.match(name)
+                or SHARD_RE.match(name)
+                or _TRACES_RE.match(name)
             ):
                 try:
                     os.unlink(os.path.join(self.directory, name))
@@ -218,93 +271,26 @@ class StudyCheckpoint:
         )
         atomic_write_text(self._shard_path(task), payload)
 
-    def record_chunk(self, task: Tuple[int, int], chunk_path: str) -> str:
-        """Adopt a worker's spilled columnar chunk as this task's shard.
-
-        The chunk was already written atomically by the worker's
-        :class:`~repro.store.ColumnWriter`; renaming it into the shard
-        slot is the whole persistence step — no re-serialisation.  Any
-        stale JSON twin for the task is dropped so a shard never
-        resolves ambiguously.  Returns the shard's final path (the
-        parent merges straight from it).
-        """
-        dst = self._shard_path(task, "v3")
-        try:
-            os.unlink(self._shard_path(task, "json"))
-        except OSError:
-            pass
-        os.replace(chunk_path, dst)
-        return dst
-
     def _load_shards(
         self, n_chips: int, n_configs: int
     ) -> Dict[Tuple[int, int], ShardRows]:
         shards: Dict[Tuple[int, int], ShardRows] = {}
         self._skipped = 0
         for name in sorted(os.listdir(self.directory)):
-            match = _SHARD_RE.match(name)
+            match = SHARD_RE.match(name)
             if not match:
                 continue
             task = (int(match.group(1)), int(match.group(2)))
-            if match.group(3) == "v3":
-                rows = self._read_v3_shard(name, task, n_chips, n_configs)
-            else:
-                rows = self._read_shard(name, task, n_chips, n_configs)
+            rows = None
+            if 0 <= task[0] < n_chips and 0 <= task[1] < n_configs:
+                rows, _reason = read_shard(
+                    os.path.join(self.directory, name), task
+                )
             if rows is None:
-                self._skipped += 1
-            elif task in shards:  # a .json and a .v3 twin: re-price
-                del shards[task]
                 self._skipped += 1
             else:
                 shards[task] = rows
         return shards
-
-    def _read_v3_shard(self, name, task, n_chips, n_configs):
-        """Rows of one columnar chunk shard, or ``None`` if invalid.
-
-        A chunk holds exactly one (chip, configuration) cell of the
-        grid; anything else — multiple chips/configs, damage anywhere
-        in the file — invalidates the shard for re-pricing.
-        """
-        from ..store.columnar import ColumnarDataset
-
-        if not (0 <= task[0] < n_chips and 0 <= task[1] < n_configs):
-            return None
-        try:
-            ds = ColumnarDataset.load(os.path.join(self.directory, name))
-        except DatasetError:
-            return None
-        try:
-            ds.verify()
-            tables = ds.string_tables()
-            if len(tables["chips"]) > 1 or len(tables["configs"]) > 1:
-                return None
-            return [
-                (test.app, test.graph, list(times))
-                for test, _key, times in ds.iter_cells()
-            ]
-        except DatasetError:
-            return None
-        finally:
-            ds.close()
-
-    def _read_shard(self, name, task, n_chips, n_configs):
-        if not (0 <= task[0] < n_chips and 0 <= task[1] < n_configs):
-            return None
-        try:
-            with open(os.path.join(self.directory, name)) as f:
-                payload = json.load(f)
-            if payload["task"] != [task[0], task[1]]:
-                return None
-            body = json.dumps(payload["rows"], separators=(",", ":"))
-            if sha256_hex(body) != payload["checksum"]:
-                return None
-            return [
-                (str(app), str(inp), [float(t) for t in times])
-                for app, inp, times in payload["rows"]
-            ]
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
 
     # -- metrics -----------------------------------------------------------
 

@@ -7,7 +7,9 @@ start over.  The doctor examines that state and reports:
 
 * **checkpoints** — manifest damage (missing, unreadable, unrecognised
   format, malformed or stale fingerprint), shard damage (truncation,
-  checksum mismatch, task/name disagreement, out-of-grid orphans), a
+  checksum mismatch, task/name disagreement, out-of-grid orphans —
+  judged by :func:`repro.study.checkpoint.read_shard`, the rule resume
+  applies), a
   damaged or inconsistent metrics sidecar, and the *repair plan*: which
   shards a ``--resume`` run will re-price;
 * **datasets** — unreadable/corrupt files, legacy pre-``perf-dataset-v2``
@@ -35,7 +37,6 @@ missing shards are re-priced.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
@@ -44,9 +45,8 @@ from typing import Dict, List, Optional, Tuple
 from ..compiler.options import OptConfig
 from ..errors import DatasetError, InvalidConfigError, ReportError
 from ..obs.report import REPORT_FORMAT, RunReport
-from ..util import sha256_hex
 from .audit import audit_dataset
-from .checkpoint import CHECKPOINT_FORMAT, StudyCheckpoint
+from .checkpoint import SHARD_RE, StudyCheckpoint, read_manifest, read_shard
 from .dataset import DATASET_FORMAT, PerfDataset, TestCase, peek_format
 
 __all__ = [
@@ -59,8 +59,6 @@ __all__ = [
     "export_partial_dataset",
     "main",
 ]
-
-_SHARD_RE = re.compile(r"^shard-(\d+)-(\d+)\.(json|v3)$")
 
 _FINGERPRINT_RE = re.compile(r"^[0-9a-f]{16}$")
 
@@ -141,106 +139,12 @@ def _shard_ranges(tasks: List[Tuple[int, int]]) -> List[str]:
     return out
 
 
-def _check_v3_shard(
-    path: str, task: Tuple[int, int]
-) -> Tuple[Optional[list], Optional[str]]:
-    """(rows, None) for a valid columnar shard file, else (None, reason).
-
-    Columnar shards carry no embedded task field (the file name is the
-    task), so validity means: loads, every checksum verifies, and the
-    content spans exactly one chip and one config — one cell of the
-    pricing grid.
-    """
-    from ..store.columnar import ColumnarDataset
-
-    try:
-        ds = ColumnarDataset.load(path)
-    except DatasetError as exc:
-        return None, str(exc)
-    except OSError as exc:
-        return None, f"unreadable ({exc})"
-    try:
-        try:
-            ds.verify()
-        except DatasetError as exc:
-            return None, str(exc)
-        tabs = ds.string_tables()
-        if len(tabs["chips"]) > 1 or len(tabs["configs"]) > 1:
-            return None, (
-                f"spans {len(tabs['chips'])} chip(s) and "
-                f"{len(tabs['configs'])} config(s); a shard must hold "
-                f"exactly one grid cell"
-            )
-        return [
-            (test.app, test.graph, list(times))
-            for test, _key, times in ds.iter_cells()
-        ], None
-    finally:
-        ds.close()
-
-
-def _check_shard(
-    path: str, task: Tuple[int, int]
-) -> Tuple[Optional[list], Optional[str]]:
-    """(rows, None) for a valid shard file, else (None, reason)."""
-    if path.endswith(".v3"):
-        return _check_v3_shard(path, task)
-    try:
-        with open(path, encoding="utf-8") as f:
-            payload = json.load(f)
-    except OSError as exc:
-        return None, f"unreadable ({exc})"
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None, "truncated or invalid JSON"
-    if not isinstance(payload, dict):
-        return None, "not a shard object"
-    if payload.get("task") != [task[0], task[1]]:
-        return None, (
-            f"task field {payload.get('task')!r} disagrees with the "
-            f"file name"
-        )
-    try:
-        body = json.dumps(payload["rows"], separators=(",", ":"))
-    except (KeyError, TypeError, ValueError):
-        return None, "missing or unserialisable rows"
-    if sha256_hex(body) != payload.get("checksum"):
-        return None, "checksum mismatch (modified or partially written)"
-    try:
-        rows = [
-            (str(app), str(inp), [float(t) for t in times])
-            for app, inp, times in payload["rows"]
-        ]
-    except (TypeError, ValueError):
-        return None, "malformed rows"
-    return rows, None
-
-
-def _read_raw_manifest(directory: str):
-    """(manifest dict or None, error message or None)."""
-    path = os.path.join(directory, StudyCheckpoint.MANIFEST)
-    if not os.path.exists(path):
-        return None, "no manifest.json (not a checkpoint, or never opened)"
-    try:
-        with open(path, encoding="utf-8") as f:
-            manifest = json.load(f)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        return None, f"unreadable manifest.json ({exc})"
-    if not isinstance(manifest, dict):
-        return None, "manifest.json is not an object"
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        return None, (
-            f"unrecognised manifest format {manifest.get('format')!r} "
-            f"(expected {CHECKPOINT_FORMAT!r})"
-        )
-    return manifest, None
-
-
 def diagnose_checkpoint(
     directory: str, expected_fingerprint: Optional[str] = None
 ) -> Diagnosis:
     """Audit one checkpoint directory."""
     diag = Diagnosis(directory, "checkpoint")
-    manifest, problem = _read_raw_manifest(directory)
+    manifest, problem = read_manifest(directory)
     if manifest is None:
         diag.add("error", "manifest", problem)
         diag.repair_plan.append(
@@ -289,11 +193,10 @@ def diagnose_checkpoint(
 
     valid: Dict[Tuple[int, int], list] = {}
     damaged: List[Tuple[int, int]] = []
-    twins: set = set()
     for name in sorted(os.listdir(directory)):
         if name in (StudyCheckpoint.MANIFEST, StudyCheckpoint.METRICS):
             continue
-        match = _SHARD_RE.match(name)
+        match = SHARD_RE.match(name)
         if not match:
             if name.startswith("shard-"):
                 diag.add(
@@ -312,22 +215,7 @@ def diagnose_checkpoint(
                 f"(priced under a different study; dropped on resume)",
             )
             continue
-        if task in valid or task in damaged or task in twins:
-            # Both a .json and a .v3 shard exist for this cell (a store
-            # change mid-study); resume trusts neither and re-prices.
-            diag.add(
-                "warning",
-                "shard-twin",
-                f"{name}: task {task[0]}x{task[1]} has both a JSON and a "
-                f"columnar shard; both are dropped and re-priced on "
-                f"--resume",
-            )
-            valid.pop(task, None)
-            if task in damaged:
-                damaged.remove(task)
-            twins.add(task)
-            continue
-        rows, reason = _check_shard(os.path.join(directory, name), task)
+        rows, reason = read_shard(os.path.join(directory, name), task)
         if rows is None:
             diag.add("error", "shard-corrupt", f"{name}: {reason}")
             damaged.append(task)
@@ -396,7 +284,7 @@ def export_partial_dataset(directory: str) -> PerfDataset:
     by newer runs); raises :class:`~repro.errors.DatasetError` when the
     checkpoint is unusable or predates axis recording.
     """
-    manifest, problem = _read_raw_manifest(directory)
+    manifest, problem = read_manifest(directory)
     if manifest is None:
         raise DatasetError(f"cannot export from {directory!r}: {problem}")
     chips = manifest.get("chips")
@@ -408,20 +296,16 @@ def export_partial_dataset(directory: str) -> PerfDataset:
             f"record them, or resume it to completion"
         )
     dataset = PerfDataset()
-    consumed: set = set()
     for name in sorted(os.listdir(directory)):
-        match = _SHARD_RE.match(name)
+        match = SHARD_RE.match(name)
         if not match:
             continue
         task = (int(match.group(1)), int(match.group(2)))
         if not (0 <= task[0] < len(chips) and 0 <= task[1] < len(configs)):
             continue
-        if task in consumed:  # .json/.v3 twin: first valid one wins here
-            continue
-        rows, reason = _check_shard(os.path.join(directory, name), task)
+        rows, reason = read_shard(os.path.join(directory, name), task)
         if rows is None:
             continue
-        consumed.add(task)
         key = configs[task[1]]
         try:
             config = (

@@ -14,8 +14,11 @@ a time) and the vectorized batch engine
 NumPy ops with plan-keyed intermediate reuse).  The sweep can further
 be sharded over worker processes (``jobs``): the chip × configuration
 grid is split into *shards*, each worker prices its share against the
-same traces, and the partial datasets merge into the same table as a
-serial run.
+same traces and sends the priced rows back over the pool's pipes, and
+the parent merges them in grid order into the same table as a serial
+run.  ``run_study(store="v3")`` converts that table to a columnar
+:class:`~repro.store.ColumnarDataset` at the end; ``store`` picks only
+the return type, never how results travel.
 
 The sweep is fault tolerant.  Completed shards can be checkpointed to
 disk as they finish (:mod:`repro.study.checkpoint`) so an interrupted
@@ -35,10 +38,7 @@ count, failures or resumption.
 
 from __future__ import annotations
 
-import os
-import shutil
 import sys
-import tempfile
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -72,8 +72,9 @@ __all__ = ["ENGINES", "run_study", "collect_traces", "StudyConfig"]
 #: Pricing engines: the vectorized default and the scalar reference.
 ENGINES = ("batch", "scalar")
 
-#: Result-shipping backends: pickled row lists (the default) or
-#: columnar ``perf-dataset-v3`` chunk spill with segment-concat merge.
+#: Return types of :func:`run_study`: a dict-backed
+#: :class:`PerfDataset` (the default) or a columnar
+#: :class:`~repro.store.ColumnarDataset` of the same measurements.
 STORES = ("rows", "v3")
 
 #: Default bounded-retry budget for failed shards / dead worker pools.
@@ -262,7 +263,6 @@ def _price_cell_impl(
 _WORKER_STATE: Optional[_State] = None
 _WORKER_FAULTS: Optional[FaultPlan] = None
 _WORKER_RECORDER = NULL_RECORDER
-_WORKER_SPILL: Optional[str] = None
 
 
 def _init_worker(
@@ -275,9 +275,8 @@ def _init_worker(
     faults: Optional[FaultPlan],
     metrics: bool = False,
     trace_cache: Optional[str] = None,
-    spill_dir: Optional[str] = None,
 ) -> None:
-    global _WORKER_STATE, _WORKER_FAULTS, _WORKER_RECORDER, _WORKER_SPILL
+    global _WORKER_STATE, _WORKER_FAULTS, _WORKER_RECORDER
     # Each worker runs its own recorder; per-shard deltas are drained
     # into the result tuple and merged by the parent on collection.
     _WORKER_RECORDER = Recorder() if metrics else NULL_RECORDER
@@ -300,60 +299,20 @@ def _init_worker(
         _WORKER_RECORDER.count("study.traces.rebuilt")
     _WORKER_STATE = (programs, traces, chips, configs, repetitions, engine)
     _WORKER_FAULTS = faults
-    _WORKER_SPILL = spill_dir
-
-
-def _spill_chunk(task: Task, rows: list, state: _State, spill_dir: str, faults=None):
-    """Write one shard's rows as a columnar chunk; return its marker.
-
-    The chunk is a complete single-cell ``perf-dataset-v3`` file —
-    the parent merges it by segment concatenation and, when a
-    checkpoint is active, adopts the very same file as the shard
-    record.  Only the small ``("chunk", path, n_rows)`` marker travels
-    back through the executor pipe instead of the pickled rows.
-    """
-    from ..store.columnar import ColumnWriter
-
-    _programs, _traces, chips, configs, _reps, _engine = state
-    chip = chips[task[0]]
-    key = configs[task[1]].key()
-    writer = ColumnWriter()
-    for app_name, input_name, times in rows:
-        writer.add(
-            TestCase(app_name, input_name, chip.short_name), key, times
-        )
-    path = os.path.join(spill_dir, f"chunk-{task[0]:04d}-{task[1]:04d}.v3")
-    writer.commit(path, faults=faults)
-    return ("chunk", path, len(rows))
-
-
-def _is_chunk(payload) -> bool:
-    return (
-        isinstance(payload, tuple)
-        and len(payload) == 3
-        and payload[0] == "chunk"
-    )
 
 
 def _price_cell(task: Task):
     """Worker entry point: price one shard from the installed state.
 
-    Returns ``(chip_idx, cfg_idx, payload, obs_delta)`` where
-    ``payload`` is the priced rows — or, in columnar spill mode, a
-    ``("chunk", path, n_rows)`` marker for the chunk file written to
-    the spill directory — and ``obs_delta`` is the worker recorder's
-    drained snapshot for this shard (``None`` when metrics are
-    disabled)."""
+    Returns ``(chip_idx, cfg_idx, rows, obs_delta)`` where ``rows``
+    are the priced rows, sent back over the pool's pipe, and
+    ``obs_delta`` is the worker recorder's drained snapshot for this
+    shard (``None`` when metrics are disabled)."""
     chip_idx, cfg_idx, rows = _price_cell_impl(
         task, _WORKER_STATE, _WORKER_FAULTS, recorder=_WORKER_RECORDER
     )
-    payload = rows
-    if _WORKER_SPILL is not None:
-        payload = _spill_chunk(
-            task, rows, _WORKER_STATE, _WORKER_SPILL, faults=_WORKER_FAULTS
-        )
     delta = _WORKER_RECORDER.drain() if _WORKER_RECORDER.enabled else None
-    return chip_idx, cfg_idx, payload, delta
+    return chip_idx, cfg_idx, rows, delta
 
 
 def _save_metrics(checkpoint: Optional[StudyCheckpoint], recorder) -> None:
@@ -430,8 +389,6 @@ def _run_parallel(
     backoff: float = DEFAULT_BACKOFF,
     shard_timeout: Optional[float] = None,
     recorder=NULL_RECORDER,
-    store: str = "rows",
-    spill_dir: Optional[str] = None,
     trace_cache: Optional[str] = None,
 ) -> PerfDataset:
     """Shard the pricing grid over a worker pool, surviving failures.
@@ -471,20 +428,14 @@ def _run_parallel(
     pending = [t for t in tasks if t not in results]
     note_every = max(1, len(tasks) // 10)
 
-    def complete(task: Task, payload, delta: Optional[dict] = None) -> None:
+    def complete(task: Task, rows: list, delta: Optional[dict] = None) -> None:
         if delta is not None:
             recorder.merge(delta)
         recorder.count("study.shards.priced")
         if checkpoint is not None:
-            if _is_chunk(payload):
-                # The worker's spilled chunk *is* the shard record:
-                # rename it into place, no re-serialisation.
-                new_path = checkpoint.record_chunk(task, payload[1])
-                payload = ("chunk", new_path, payload[2])
-            else:
-                checkpoint.record(task, payload)
+            checkpoint.record(task, rows)
             _save_metrics(checkpoint, recorder)
-        results[task] = payload
+        results[task] = rows
         if len(results) % note_every == 0:
             timer.note(f"priced {len(results)}/{len(tasks)} shards")
         if faults is not None:
@@ -518,7 +469,7 @@ def _run_parallel(
             max_workers=jobs,
             initializer=_init_worker,
             initargs=init_state
-            + (faults, recorder.enabled, trace_cache, spill_dir),
+            + (faults, recorder.enabled, trace_cache),
         )
         try:
             futures = {pool.submit(_price_cell, t): t for t in pending}
@@ -632,8 +583,6 @@ def _run_parallel(
     # dataset's insertion order is independent of completion order.
     # Quarantined shards have no rows: their cells stay absent, the
     # audit reports them as holes, and ``--resume`` re-prices them.
-    if store == "v3":
-        return _merge_columnar(config, results, state, timer, recorder)
     dataset = PerfDataset()
     for chip_idx, chip in enumerate(config.chips):
         timer.note(f"pricing on {chip.short_name}")
@@ -647,49 +596,6 @@ def _run_parallel(
                 )
         timer.tick()
     return dataset
-
-
-def _merge_columnar(config, results, state, timer, recorder) -> PerfDataset:
-    """Merge shard results into a columnar dataset, in grid order.
-
-    Spilled chunks concatenate by raw segment copy; row lists (resumed
-    JSON shards, the in-process fallback) append per cell.  A chunk
-    file that fails to load — corrupted on disk after the worker wrote
-    it — is re-priced in-process rather than failing the sweep.
-    """
-    from ..store.columnar import ColumnarDataset, ColumnWriter
-
-    writer = ColumnWriter()
-    for chip_idx, chip in enumerate(config.chips):
-        timer.note(f"merging {chip.short_name}")
-        for cfg_idx, opt in enumerate(config.configs):
-            payload = results.get((chip_idx, cfg_idx))
-            if payload is None:
-                continue
-            if _is_chunk(payload):
-                try:
-                    chunk = ColumnarDataset.load(payload[1])
-                except DatasetError:
-                    recorder.count("study.shards.fallback_inprocess")
-                    _, _, rows = _price_cell_impl(
-                        (chip_idx, cfg_idx), state, recorder=recorder
-                    )
-                    payload = rows
-                else:
-                    try:
-                        writer.append_chunk(chunk)
-                    finally:
-                        chunk.close()
-                    continue
-            key = opt.key()
-            for app_name, input_name, times in payload:
-                writer.add(
-                    TestCase(app_name, input_name, chip.short_name),
-                    key,
-                    times,
-                )
-        timer.tick()
-    return ColumnarDataset.from_payload(writer.payload())
 
 
 def run_study(
@@ -710,14 +616,12 @@ def run_study(
 ) -> PerfDataset:
     """Run the full study and return the performance dataset.
 
-    ``store`` selects the result backend: ``"rows"`` (the default)
-    ships pickled row lists through the executor and merges into a
-    dict-backed :class:`PerfDataset`; ``"v3"`` makes workers spill
-    each shard as a columnar ``perf-dataset-v3`` chunk (into the
-    checkpoint directory when one is active, else a temp dir), merges
-    by segment concatenation and returns a
+    ``store`` picks only the return type: ``"rows"`` (the default)
+    returns the dict-backed :class:`PerfDataset`; ``"v3"`` returns
+    ``columnar_from_dataset`` of it, a
     :class:`~repro.store.ColumnarDataset` holding the identical
-    measurements.
+    measurements.  Either way workers send their priced rows back over
+    the pool's pipes and the parent merges them in grid order.
 
     Any parallel run with a checkpoint shares the collected traces
     with its workers through a write-once cache in the checkpoint dir
@@ -837,54 +741,40 @@ def run_study(
         else:
             trace_cache = cache_path
 
-    spill_dir: Optional[str] = None
-    spill_tmp: Optional[str] = None
-    if store == "v3" and jobs > 1:
-        if ckpt is not None:
-            spill_dir = ckpt.directory
-        else:
-            spill_dir = spill_tmp = tempfile.mkdtemp(prefix="repro-spill-")
-
     rec.gauge(
         "study.shards.total", len(config.chips) * len(config.configs)
     )
     timer.start("pricing", total=len(config.chips))
-    try:
-        if jobs == 1:
-            dataset = _run_serial(
-                config,
-                traces,
-                programs,
-                engine,
-                timer,
-                faults=faults,
-                checkpoint=ckpt,
-                done=done,
-                recorder=rec,
-            )
-        else:
-            dataset = _run_parallel(
-                config,
-                traces,
-                programs,
-                engine,
-                jobs,
-                timer,
-                faults=faults,
-                checkpoint=ckpt,
-                done=done,
-                retries=retries,
-                backoff=backoff,
-                shard_timeout=shard_timeout,
-                recorder=rec,
-                store=store,
-                spill_dir=spill_dir,
-                trace_cache=trace_cache,
-            )
-    finally:
-        if spill_tmp is not None:
-            shutil.rmtree(spill_tmp, ignore_errors=True)
-    if store == "v3" and type(dataset) is PerfDataset:
+    if jobs == 1:
+        dataset = _run_serial(
+            config,
+            traces,
+            programs,
+            engine,
+            timer,
+            faults=faults,
+            checkpoint=ckpt,
+            done=done,
+            recorder=rec,
+        )
+    else:
+        dataset = _run_parallel(
+            config,
+            traces,
+            programs,
+            engine,
+            jobs,
+            timer,
+            faults=faults,
+            checkpoint=ckpt,
+            done=done,
+            retries=retries,
+            backoff=backoff,
+            shard_timeout=shard_timeout,
+            recorder=rec,
+            trace_cache=trace_cache,
+        )
+    if store == "v3":
         from ..store.columnar import columnar_from_dataset
 
         dataset = columnar_from_dataset(dataset)
@@ -925,14 +815,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
         choices=ENGINES,
         default="batch",
         help="pricing engine (default: batch; scalar is the reference path)",
-    )
-    parser.add_argument(
-        "--store",
-        choices=("auto",) + STORES,
-        default="auto",
-        help="result backend: 'rows' ships pickled row lists, 'v3' spills "
-        "columnar perf-dataset-v3 chunks and merges by segment "
-        "concatenation (default: auto — v3 when OUTPUT ends in .v3)",
     )
     parser.add_argument(
         "--checkpoint",
@@ -983,9 +865,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
     ckpt = StudyCheckpoint(ckpt_dir) if ckpt_dir else None
     faults = FaultPlan(args.faults) if args.faults else None
     rec = Recorder() if args.metrics else None
-    store = args.store
-    if store == "auto":
-        store = "v3" if args.output.endswith(".v3") else "rows"
 
     started = time.time()
     try:
@@ -1000,7 +879,6 @@ def main() -> None:  # pragma: no cover - CLI entry point
             retries=args.retries,
             shard_timeout=args.shard_timeout,
             recorder=rec,
-            store=store,
         )
     except KeyboardInterrupt:
         where = f" in {ckpt.directory}" if ckpt else ""

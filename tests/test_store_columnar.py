@@ -228,41 +228,6 @@ class TestColumnWriter:
         with pytest.raises(DatasetError, match="no timings"):
             ColumnWriter().add(TestCase("a", "g", "C1"), BASELINE, [])
 
-    def test_append_chunk_equals_direct_add(self, tmp_path):
-        ds = _small_dataset()
-        cells = list(ds.iter_cells())
-        half = len(cells) // 2
-        chunks = []
-        for i, part in enumerate((cells[:half], cells[half:])):
-            w = ColumnWriter()
-            for test, key, times in part:
-                w.add(test, key, times)
-            path = str(tmp_path / f"chunk{i}.v3")
-            w.commit(path)
-            chunks.append(path)
-        merged = ColumnWriter()
-        for path in chunks:
-            chunk = ColumnarDataset.load(path)
-            merged.append_chunk(chunk)
-            chunk.close()
-        direct = ColumnWriter()
-        for test, key, times in cells:
-            direct.add(test, key, times)
-        assert merged.payload() == direct.payload()
-
-    def test_append_chunk_with_overlap_falls_back_to_add(self, tmp_path):
-        ds = _small_dataset()
-        path = str(tmp_path / "c.v3")
-        write_columnar(ds, path)
-        w = ColumnWriter()
-        first = next(iter(ds.iter_cells()))
-        w.add(*first)
-        chunk = ColumnarDataset.load(path)
-        w.append_chunk(chunk)  # shares `first` -> per-cell path
-        chunk.close()
-        assert w.n_cells == ds.n_measurements
-        assert ColumnarDataset.from_payload(w.payload()) == ds
-
 
 # -- corruption, verification, salvage ---------------------------------------
 

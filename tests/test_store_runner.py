@@ -1,13 +1,15 @@
 """Integration tests for the columnar study path.
 
-Covers the worker chunk-spill protocol (``--jobs`` with
-``store="v3"``), columnar checkpoint shards and mixed-store resume,
-the shared trace cache and its observability counters, and ``repro
-doctor`` on checkpoints holding ``.v3`` shards.
+Covers ``run_study(store="v3")`` (the rows sweep converted to a
+columnar dataset, byte-identical to a serial save), checkpointed
+``store="v3"`` runs, the ``.v3`` files older builds left in checkpoint
+directories, the shared trace cache and its observability counters,
+and ``repro doctor`` on those checkpoints.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import pytest
@@ -20,7 +22,7 @@ from repro.graphs.inputs import StudyInput
 from repro.obs import Recorder, RunReport
 from repro.store import ColumnarDataset, load_trace_cache
 from repro.study import StudyConfig, collect_traces, run_study
-from repro.study.checkpoint import StudyCheckpoint, study_fingerprint
+from repro.study.checkpoint import study_fingerprint
 from repro.study.doctor import diagnose_checkpoint
 
 
@@ -66,84 +68,84 @@ class TestStoreSelection:
         ]
 
     def test_parallel_v3_identical_to_serial(
-        self, tiny_config, serial_dataset
+        self, tiny_config, serial_dataset, tmp_path
     ):
         ds = run_study(tiny_config, jobs=2, store="v3")
         assert isinstance(ds, ColumnarDataset)
         assert ds == serial_dataset
+        parallel, serial = str(tmp_path / "p.v3"), str(tmp_path / "s.v3")
+        ds.save(parallel)
+        serial_dataset.save(serial)
+        assert _sha256(parallel) == _sha256(serial)
 
     def test_unknown_store_rejected(self, tiny_config):
         with pytest.raises(ValueError, match="store"):
             run_study(tiny_config, store="parquet")
 
 
+def _sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def _shards(ckpt: str):
+    return sorted(n for n in os.listdir(ckpt) if n.startswith("shard-"))
+
+
+def _plant_older_build_files(ckpt: str) -> None:
+    """Swap one JSON shard for the ``.v3`` files older builds wrote.
+
+    Builds that spilled columnar chunks left ``shard-*.v3`` shards and
+    un-adopted ``chunk-*.v3`` spill files in checkpoint directories.
+    """
+    os.unlink(os.path.join(ckpt, "shard-0000-0001.json"))
+    for name in ("shard-0000-0001.v3", "chunk-0000-0000.v3"):
+        with open(os.path.join(ckpt, name), "wb") as f:
+            f.write(b"PDV3 from an older build")
+
+
 class TestColumnarCheckpoint:
-    def test_checkpoint_holds_v3_shards(self, tiny_config, serial_dataset,
-                                        tmp_path):
-        ckpt = str(tmp_path / "ckpt")
-        ds = run_study(
-            tiny_config, jobs=2, checkpoint=ckpt, store="v3"
-        )
-        assert ds == serial_dataset
-        names = sorted(os.listdir(ckpt))
-        shards = [n for n in names if n.startswith("shard-")]
-        assert shards and all(n.endswith(".v3") for n in shards)
-        assert len(shards) == 2 * 12  # full grid
-        # No spill chunks left behind after renaming into shards.
-        assert not [n for n in names if n.startswith("chunk-")]
-
-    def test_resume_from_v3_shards(self, tiny_config, serial_dataset,
-                                   tmp_path):
-        ckpt = str(tmp_path / "ckpt")
-        run_study(tiny_config, jobs=2, checkpoint=ckpt, store="v3")
-        # Drop two shards; a resumed run re-prices exactly those.
-        removed = sorted(
-            n for n in os.listdir(ckpt) if n.startswith("shard-")
-        )[:2]
-        for name in removed:
-            os.unlink(os.path.join(ckpt, name))
-        resumed = run_study(
-            tiny_config, jobs=2, checkpoint=ckpt, resume=True, store="v3"
-        )
-        assert resumed == serial_dataset
-
-    def test_corrupt_v3_shard_repriced_on_resume(
+    def test_corrupt_shard_repriced_on_resume(
         self, tiny_config, serial_dataset, tmp_path
     ):
         ckpt = str(tmp_path / "ckpt")
         run_study(tiny_config, jobs=2, checkpoint=ckpt, store="v3")
-        victim = sorted(
-            n for n in os.listdir(ckpt) if n.startswith("shard-")
-        )[0]
-        path = os.path.join(ckpt, victim)
+        path = os.path.join(ckpt, _shards(ckpt)[0])
         data = bytearray(open(path, "rb").read())
         data[-3] ^= 0xFF
         open(path, "wb").write(bytes(data))
+        rec = Recorder(clock=lambda: 0.0)
         resumed = run_study(
-            tiny_config, jobs=2, checkpoint=ckpt, resume=True, store="v3"
-        )
-        assert resumed == serial_dataset
-
-    def test_mixed_store_resume(self, tiny_config, serial_dataset, tmp_path):
-        """JSON shards from an older run feed a v3-store resume."""
-        ckpt = str(tmp_path / "ckpt")
-        run_study(tiny_config, jobs=2, checkpoint=ckpt)  # rows -> .json
-        removed = sorted(
-            n for n in os.listdir(ckpt) if n.startswith("shard-")
-        )[:3]
-        for name in removed:
-            os.unlink(os.path.join(ckpt, name))
-        resumed = run_study(
-            tiny_config, jobs=2, checkpoint=ckpt, resume=True, store="v3"
+            tiny_config,
+            jobs=2,
+            checkpoint=ckpt,
+            resume=True,
+            store="v3",
+            recorder=rec,
         )
         assert isinstance(resumed, ColumnarDataset)
         assert resumed == serial_dataset
-        exts = {
-            os.path.splitext(n)[1]
-            for n in os.listdir(ckpt)
-            if n.startswith("shard-")
-        }
-        assert exts == {".json", ".v3"}
+        report = RunReport.from_recorder(rec)
+        assert report.total_counter("study.checkpoint.invalid_shards") == 1
+        assert report.total_counter("study.shards.priced") == 1
+
+    def test_resume_ignores_v3_files_from_older_builds(
+        self, tiny_config, serial_dataset, tmp_path
+    ):
+        ckpt = str(tmp_path / "ckpt")
+        run_study(tiny_config, jobs=2, checkpoint=ckpt)
+        _plant_older_build_files(ckpt)
+        rec = Recorder(clock=lambda: 0.0)
+        resumed = run_study(
+            tiny_config, jobs=2, checkpoint=ckpt, resume=True, recorder=rec
+        )
+        assert resumed == serial_dataset
+        report = RunReport.from_recorder(rec)
+        # Only the cell whose JSON shard is gone is re-priced; neither
+        # .v3 file counts as a shard, valid or invalid.
+        assert report.total_counter("study.shards.priced") == 1
+        assert report.total_counter("study.checkpoint.invalid_shards") == 0
+        assert "shard-0000-0001.json" in _shards(ckpt)
 
 
 class TestTraceCache:
@@ -182,63 +184,38 @@ class TestTraceCache:
 
 class TestDoctorOnColumnarCheckpoints:
     def test_healthy_v3_checkpoint(self, tiny_config, tmp_path):
+        """A ``store="v3"`` run checkpoints the full grid as JSON shards."""
         ckpt = str(tmp_path / "ckpt")
         run_study(tiny_config, jobs=2, checkpoint=ckpt, store="v3")
+        shards = _shards(ckpt)
+        assert len(shards) == 2 * 12  # full grid
+        assert all(n.endswith(".json") for n in shards)
+        assert not [n for n in os.listdir(ckpt) if n.endswith(".v3")]
         diag = diagnose_checkpoint(ckpt)
         assert diag.ok
         assert not [f for f in diag.findings if f.severity == "error"]
 
-    def test_corrupt_v3_shard_reported(self, tiny_config, tmp_path):
+    def test_v3_files_from_older_builds(self, tiny_config, tmp_path):
         ckpt = str(tmp_path / "ckpt")
-        run_study(tiny_config, jobs=2, checkpoint=ckpt, store="v3")
-        victim = sorted(
-            n for n in os.listdir(ckpt) if n.startswith("shard-")
-        )[0]
-        path = os.path.join(ckpt, victim)
-        data = bytearray(open(path, "rb").read())
-        data[-3] ^= 0xFF
-        open(path, "wb").write(bytes(data))
+        run_study(tiny_config, jobs=2, checkpoint=ckpt)
+        _plant_older_build_files(ckpt)
         diag = diagnose_checkpoint(ckpt)
-        assert not diag.ok
-        assert any(f.code == "shard-corrupt" for f in diag.findings)
-        assert any("re-priced" in step for step in diag.repair_plan)
-
-    def test_twin_shards_flagged(self, tiny_config, tmp_path):
-        ckpt = str(tmp_path / "ckpt")
-        run_study(tiny_config, jobs=2, checkpoint=ckpt, store="v3")
-        twin_src = sorted(
-            n for n in os.listdir(ckpt) if n.endswith(".v3")
-        )[0]
-        # Fabricate a JSON twin for the same task.
-        twin = twin_src.replace(".v3", ".json")
-        with open(os.path.join(ckpt, twin), "w") as f:
-            f.write("{}")
-        diag = diagnose_checkpoint(ckpt)
-        assert any(f.code == "shard-twin" for f in diag.findings)
+        assert diag.ok
+        orphans = [f for f in diag.findings if f.code == "shard-orphan"]
+        assert len(orphans) == 1
+        assert orphans[0].severity == "warning"
+        assert orphans[0].message.startswith("shard-0000-0001.v3:")
+        # The chunk file is not a shard: 23 valid, none damaged.
+        coverage = [f for f in diag.findings if f.code == "coverage"]
+        assert coverage[0].message.startswith("23/24 shards valid, 0 damaged")
+        assert not any("chunk-" in f.message for f in diag.findings)
 
     def test_trace_cache_not_misread_as_shard(self, tiny_config, tmp_path):
         """traces-*.bin in the directory never confuses the doctor."""
         ckpt = str(tmp_path / "ckpt")
-        run_study(tiny_config, jobs=2, checkpoint=ckpt, store="v3")
+        run_study(tiny_config, jobs=2, checkpoint=ckpt)
         assert any(
             n.startswith("traces-") for n in os.listdir(ckpt)
         )
         diag = diagnose_checkpoint(ckpt)
         assert diag.ok
-
-
-class TestCheckpointSpillHygiene:
-    def test_fresh_open_clears_stale_spill_files(self, tiny_config,
-                                                 tmp_path):
-        ckpt_dir = str(tmp_path / "ckpt")
-        run_study(tiny_config, jobs=2, checkpoint=ckpt_dir, store="v3")
-        # Simulate a crashed worker leaving a chunk behind.
-        stale = os.path.join(ckpt_dir, "chunk-0000-0000.v3")
-        with open(stale, "wb") as f:
-            f.write(b"junk")
-        fingerprint = study_fingerprint(
-            tiny_config, "batch", collect_traces(tiny_config)
-        )
-        ckpt = StudyCheckpoint(ckpt_dir)
-        ckpt.open(fingerprint, n_chips=2, n_configs=12, resume=False)
-        assert not os.path.exists(stale)
