@@ -399,7 +399,7 @@ def main(argv=None) -> int:
 
     from ..cli import metrics_parent, save_run_report
     from ..errors import DatasetError, InsufficientCoverageError
-    from ..obs import Recorder, recording
+    from ..obs import NULL_RECORDER, Recorder, recording
     from ..study.audit import (
         DEFAULT_COVERAGE_FLOOR,
         audit_dataset,
@@ -470,26 +470,18 @@ def main(argv=None) -> int:
 
     from ..experiments import portfolio_curve as experiment
 
-    rec = Recorder() if args.metrics else None
-
-    def _render() -> str:
+    rec = Recorder() if args.metrics else NULL_RECORDER
+    with recording(rec), rec.span("portfolio.build"):
         portfolios = build_portfolios(audit.dataset, k_max=args.k_max)
         if args.output:
             with open(args.output, "w") as f:
                 json.dump(portfolios.to_dict(), f, sort_keys=True)
             print(f"[portfolio] wrote {args.output}", file=sys.stderr)
-        return experiment.run(
+        output = experiment.run(
             audit.dataset, portfolios=portfolios, target=args.target
         )
-
-    if rec is not None:
-        with recording(rec):
-            with rec.span("portfolio.build"):
-                output = _render()
-    else:
-        output = _render()
     print(output)
-    if rec is not None:
+    if args.metrics:
         save_run_report(rec, args.metrics, meta={"dataset": args.dataset})
         print(
             f"[portfolio] wrote run report to {args.metrics}",

@@ -315,7 +315,7 @@ def main(argv=None) -> int:
 
     from ..cli import metrics_parent, save_run_report
     from ..errors import DatasetError, InsufficientCoverageError
-    from ..obs import Recorder, recording
+    from ..obs import NULL_RECORDER, Recorder, recording
     from ..study.audit import (
         DEFAULT_COVERAGE_FLOOR,
         audit_dataset,
@@ -407,11 +407,11 @@ def main(argv=None) -> int:
         else [args.strategy]
     )
     dims = tuple(args.by) if args.by else ("chip",)
-    rec = Recorder() if args.metrics else None
 
-    def _render() -> str:
-        from ..experiments import budget_curve as experiment
+    from ..experiments import budget_curve as experiment
 
+    rec = Recorder() if args.metrics else NULL_RECORDER
+    with recording(rec), rec.span("search.replay"):
         sections = [
             experiment.run(
                 audit.dataset,
@@ -445,16 +445,8 @@ def main(argv=None) -> int:
                     ),
                 )
             )
-        return "\n\n".join(sections)
-
-    if rec is not None:
-        with recording(rec):
-            with rec.span("search.replay"):
-                output = _render()
-    else:
-        output = _render()
-    print(output)
-    if rec is not None:
+    print("\n\n".join(sections))
+    if args.metrics:
         save_run_report(
             rec,
             args.metrics,

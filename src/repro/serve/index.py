@@ -927,7 +927,7 @@ def main(argv=None) -> int:
 
     from ..cli import metrics_parent, save_run_report
     from ..errors import DatasetError, InsufficientCoverageError
-    from ..obs import Recorder, recording
+    from ..obs import NULL_RECORDER, Recorder, recording
     from ..study.audit import DEFAULT_COVERAGE_FLOOR, require_coverage
 
     parser = argparse.ArgumentParser(
@@ -965,7 +965,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    rec = Recorder() if args.metrics else None
+    rec = Recorder() if args.metrics else NULL_RECORDER
     try:
         dataset = PerfDataset.load(args.dataset)
     except DatasetError as exc:
@@ -977,21 +977,16 @@ def main(argv=None) -> int:
     except InsufficientCoverageError as exc:
         print(f"[index] {exc}", file=sys.stderr)
         return 1
-    if rec is not None:
-        with recording(rec):
-            index = build_index(
-                audit.dataset,
-                audit=audit,
-                recorder=rec,
-                portfolios=args.portfolios,
-            )
-    else:
+    with recording(rec):
         index = build_index(
-            audit.dataset, audit=audit, portfolios=args.portfolios
+            audit.dataset,
+            audit=audit,
+            recorder=rec,
+            portfolios=args.portfolios,
         )
     index.save(args.output)
     print(f"[index] wrote {args.output}: {index.describe()}")
-    if rec is not None:
+    if args.metrics:
         save_run_report(
             rec,
             args.metrics,

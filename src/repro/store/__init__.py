@@ -10,11 +10,8 @@ layout built from stdlib ``struct``/``array``/``mmap``:
 * :class:`~repro.store.columnar.ColumnarDataset` mmaps a ``.v3`` file
   read-only and serves the full :class:`~repro.study.dataset.PerfDataset`
   protocol — timings stay in the mapped file until a cell is queried;
-* :class:`~repro.store.columnar.ColumnWriter` appends cells (or whole
-  chunks, by segment concatenation) and commits atomically;
-* :mod:`~repro.store.tracecache` shares compiled traces across study
-  workers through the checkpoint directory instead of re-pickling them
-  per worker pool;
+* :class:`~repro.store.columnar.ColumnWriter` appends cells and
+  commits atomically;
 * :mod:`~repro.store.cli` is the ``repro dataset`` subcommand
   (``convert`` / ``info`` / ``verify``).
 
@@ -32,7 +29,6 @@ from .columnar import (
     salvage_columnar,
     write_columnar,
 )
-from .tracecache import load_trace_cache, save_trace_cache, trace_cache_path
 
 __all__ = [
     "COLUMNAR_FORMAT",
@@ -41,9 +37,6 @@ __all__ = [
     "ColumnarDataset",
     "columnar_from_dataset",
     "inspect_columnar",
-    "load_trace_cache",
     "salvage_columnar",
-    "save_trace_cache",
-    "trace_cache_path",
     "write_columnar",
 ]

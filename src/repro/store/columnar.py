@@ -661,9 +661,6 @@ class ColumnarDataset(PerfDataset):
         self._buf = buf
         self._parsed = parsed
         self._test_list = test_list
-        self._cell_rows = parsed.cell_rows
-        self._offset_column = parsed.offsets
-        self._time_column = parsed.times
         self._tests = tests
         self._configs = configs
         self._table = _SegmentTable(
@@ -683,7 +680,7 @@ class ColumnarDataset(PerfDataset):
 
     @property
     def n_measurements(self) -> int:
-        return len(self._cell_rows)
+        return self._parsed.n_cells
 
     def add(self, test, config, times) -> None:
         raise DatasetError(
@@ -707,8 +704,9 @@ class ColumnarDataset(PerfDataset):
         consumers (audit, conversion, strategy derivation) run in
         constant memory over the mapped column.
         """
-        tests, keys = self._test_list, self._parsed.config_keys
-        rows, offs, col = self._cell_rows, self._offset_column, self._time_column
+        p = self._parsed
+        tests, keys = self._test_list, p.config_keys
+        rows, offs, col = p.cell_rows, p.offsets, p.times
         for i in range(len(rows)):
             lo, hi = int(offs[i]), int(offs[i + 1])
             yield (
@@ -737,10 +735,9 @@ class ColumnarDataset(PerfDataset):
     def close(self) -> None:
         """Release the underlying mmap (the dataset is unusable after)."""
         if isinstance(self._buf, mmap.mmap):
-            # The index columns are zero-copy views into the mmap; drop
+            # The parsed columns are zero-copy views into the mmap; drop
             # them first or the close would fail with exported pointers.
-            self._cell_rows = None
-            self._offset_column = self._time_column = None
+            self._parsed = None
             self._table = None
             try:
                 self._buf.close()
@@ -751,7 +748,7 @@ class ColumnarDataset(PerfDataset):
         return (
             f"ColumnarDataset({self._path!r}, tests={len(self._tests)}, "
             f"configs={len(self._configs)}, "
-            f"measurements={len(self._cell_rows)})"
+            f"measurements={self.n_measurements})"
         )
 
 

@@ -13,7 +13,6 @@ Layout of a checkpoint directory::
       manifest.json              {"format", "fingerprint", "n_chips",
                                   "n_configs"}
       shard-<chip>-<config>.json {"task", "rows", "checksum"}
-      traces-<fingerprint>.bin   shared compiled-trace cache (optional)
       metrics.json               {"segments", "checksum"} (optional)
 
 Every file is written atomically (temp + rename) with a SHA-256
@@ -60,7 +59,8 @@ ShardRows = List[Tuple[str, str, List[float]]]
 #: File name of one shard; the groups are its (chip, config) task.
 SHARD_RE = re.compile(r"^shard-(\d+)-(\d+)\.json$")
 
-#: Shared compiled-trace caches written next to the shards.
+#: Compiled-trace caches that older builds wrote next to the shards;
+#: never read, but :meth:`StudyCheckpoint.clear` still removes them.
 _TRACES_RE = re.compile(r"^traces-[0-9a-f]+\.bin$")
 
 

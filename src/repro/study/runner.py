@@ -15,8 +15,9 @@ NumPy ops with plan-keyed intermediate reuse).  The sweep can further
 be sharded over worker processes (``jobs``): the chip × configuration
 grid is split into *shards*, each worker prices its share against the
 same traces and sends the priced rows back over the pool's pipes, and
-the parent merges them in grid order into the same table as a serial
-run.  ``run_study(store="v3")`` converts that table to a columnar
+the parent merges them in grid order into the same table that
+``jobs=1`` builds in-process through the same loop.
+``run_study(store="v3")`` converts that table to a columnar
 :class:`~repro.store.ColumnarDataset` at the end; ``store`` picks only
 the return type, never how results travel.
 
@@ -55,7 +56,7 @@ from ..chips.model import ChipModel
 from ..compiler.options import OptConfig, enumerate_configs
 from ..compiler.pipeline import compile_cached, plan_cache
 from ..dsl.ast import Program
-from ..errors import CheckpointError, DatasetError
+from ..errors import CheckpointError
 from ..faults import FaultPlan
 from ..graphs.inputs import StudyInput, study_inputs
 from ..obs import NULL_RECORDER, Recorder, RunReport
@@ -89,7 +90,7 @@ class _ShardTimeout(BaseException):
 
     Derives from BaseException so the ordinary ``except Exception``
     retry paths never swallow it; it is raised and caught entirely
-    within :func:`_run_parallel`.
+    within :func:`_run_sweep`.
     """
 
     def __init__(self, tasks: List["Task"]) -> None:
@@ -267,36 +268,18 @@ _WORKER_RECORDER = NULL_RECORDER
 
 def _init_worker(
     programs: Dict[str, Program],
-    traces: Optional[Dict[tuple, Trace]],
+    traces: Dict[tuple, Trace],
     chips: List[ChipModel],
     configs: List[OptConfig],
     repetitions: int,
     engine: str,
     faults: Optional[FaultPlan],
     metrics: bool = False,
-    trace_cache: Optional[str] = None,
 ) -> None:
     global _WORKER_STATE, _WORKER_FAULTS, _WORKER_RECORDER
     # Each worker runs its own recorder; per-shard deltas are drained
     # into the result tuple and merged by the parent on collection.
     _WORKER_RECORDER = Recorder() if metrics else NULL_RECORDER
-    if traces is None:
-        # Shared-trace path: the parent wrote the traces once to the
-        # checkpoint directory instead of pickling them through the
-        # pool initializer per worker per pool build.  A damaged cache
-        # raises here, breaking the pool — the runner's rebuild /
-        # in-process fallback machinery recovers (the parent always
-        # keeps its own traces).
-        if trace_cache is None:
-            raise DatasetError(
-                "worker started without traces or a trace cache"
-            )
-        from ..store.tracecache import load_trace_cache
-
-        traces = load_trace_cache(trace_cache)
-        _WORKER_RECORDER.count("study.traces.shared")
-    else:
-        _WORKER_RECORDER.count("study.traces.rebuilt")
     _WORKER_STATE = (programs, traces, chips, configs, repetitions, engine)
     _WORKER_FAULTS = faults
 
@@ -329,52 +312,7 @@ def _save_metrics(checkpoint: Optional[StudyCheckpoint], recorder) -> None:
         )
 
 
-def _run_serial(
-    config: StudyConfig,
-    traces: Dict[tuple, Trace],
-    programs: Dict[str, Program],
-    engine: str,
-    timer: PhaseTimer,
-    *,
-    faults: Optional[FaultPlan] = None,
-    checkpoint: Optional[StudyCheckpoint] = None,
-    done: Optional[Dict[Task, list]] = None,
-    recorder=NULL_RECORDER,
-) -> PerfDataset:
-    state: _State = (
-        programs,
-        traces,
-        config.chips,
-        config.configs,
-        config.repetitions,
-        engine,
-    )
-    results: Dict[Task, list] = dict(done or {})
-    dataset = PerfDataset()
-    for chip_idx, chip in enumerate(config.chips):
-        timer.note(f"pricing on {chip.short_name}")
-        for cfg_idx, opt in enumerate(config.configs):
-            task = (chip_idx, cfg_idx)
-            rows = results.get(task)
-            if rows is None:
-                _, _, rows = _price_cell_impl(
-                    task, state, faults, recorder=recorder
-                )
-                recorder.count("study.shards.priced")
-                if checkpoint is not None:
-                    checkpoint.record(task, rows)
-                    _save_metrics(checkpoint, recorder)
-                if faults is not None:
-                    faults.fire("interrupt", _shard_key(task))
-            for app_name, input_name, times in rows:
-                dataset.add(
-                    TestCase(app_name, input_name, chip.short_name), opt, times
-                )
-        timer.tick()
-    return dataset
-
-
-def _run_parallel(
+def _run_sweep(
     config: StudyConfig,
     traces: Dict[tuple, Trace],
     programs: Dict[str, Program],
@@ -389,16 +327,23 @@ def _run_parallel(
     backoff: float = DEFAULT_BACKOFF,
     shard_timeout: Optional[float] = None,
     recorder=NULL_RECORDER,
-    trace_cache: Optional[str] = None,
 ) -> PerfDataset:
-    """Shard the pricing grid over a worker pool, surviving failures.
+    """Price every shard not in ``done`` and merge the grid in order.
 
-    A shard whose worker raises is re-queued up to ``retries`` times
-    (exponential backoff) and then priced in-process; a dead pool
-    (worker killed mid-task) is rebuilt up to ``retries`` times, after
-    which every unfinished shard is priced in-process.  The in-process
-    fallback runs without fault injection — it is the recovery of last
-    resort, not a fault site.
+    Each priced shard goes through one completion step: it is counted,
+    checkpointed (with the metrics sidecar), ticks the ``pricing``
+    phase and fires the ``interrupt`` fault.  With ``jobs == 1`` the
+    shards are priced in-process, in grid order, with faults armed and
+    no retries, so an injected ``error`` propagates to the caller.
+
+    With ``jobs > 1`` a worker pool prices them, and each worker gets
+    the traces once, through the pool initializer.  The pool survives
+    failures: a shard whose worker raises is re-queued up to
+    ``retries`` times (exponential backoff) and then priced in-process;
+    a dead pool (worker killed mid-task) is rebuilt up to ``retries``
+    times, after which every unfinished shard is priced in-process.
+    The in-process fallback runs without fault injection — it is the
+    recovery of last resort, not a fault site.
 
     ``shard_timeout`` arms a deadline watchdog: a shard still running
     ``shard_timeout`` seconds after it was first observed executing is
@@ -427,6 +372,9 @@ def _run_parallel(
     results: Dict[Task, list] = dict(done or {})
     pending = [t for t in tasks if t not in results]
     note_every = max(1, len(tasks) // 10)
+    # The phase counts only the shards this run prices, so a resumed
+    # run's ETA is not skewed by the shards it loaded for free.
+    timer.start("pricing", total=len(pending))
 
     def complete(task: Task, rows: list, delta: Optional[dict] = None) -> None:
         if delta is not None:
@@ -436,10 +384,19 @@ def _run_parallel(
             checkpoint.record(task, rows)
             _save_metrics(checkpoint, recorder)
         results[task] = rows
+        timer.tick()
         if len(results) % note_every == 0:
             timer.note(f"priced {len(results)}/{len(tasks)} shards")
         if faults is not None:
             faults.fire("interrupt", _shard_key(task))
+
+    if jobs == 1:
+        for task in pending:
+            _, _, rows = _price_cell_impl(
+                task, state, faults, recorder=recorder
+            )
+            complete(task, rows)
+        pending = []
 
     pool_failures = 0
     # Timeout counts persist across pool rebuilds (unlike the per-pool
@@ -460,16 +417,10 @@ def _run_parallel(
                 complete(task, rows)
                 pending.remove(task)
             break
-        init_state = state
-        if trace_cache is not None:
-            # Workers load the shared trace cache from the checkpoint
-            # dir instead of having the traces pickled to each of them.
-            init_state = (state[0], None) + state[2:]
         pool = ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,
-            initargs=init_state
-            + (faults, recorder.enabled, trace_cache),
+            initargs=state + (faults, recorder.enabled),
         )
         try:
             futures = {pool.submit(_price_cell, t): t for t in pending}
@@ -579,13 +530,12 @@ def _run_parallel(
     if checkpoint is not None:
         checkpoint.quarantined_tasks = sorted(quarantined)
 
-    # Merge in the serial sweep's chip -> config -> test order so the
-    # dataset's insertion order is independent of completion order.
+    # Merge in chip -> config -> test order so the dataset's
+    # insertion order is independent of completion order.
     # Quarantined shards have no rows: their cells stay absent, the
     # audit reports them as holes, and ``--resume`` re-prices them.
     dataset = PerfDataset()
     for chip_idx, chip in enumerate(config.chips):
-        timer.note(f"pricing on {chip.short_name}")
         for cfg_idx, opt in enumerate(config.configs):
             rows = results.get((chip_idx, cfg_idx))
             if rows is None:
@@ -594,7 +544,6 @@ def _run_parallel(
                 dataset.add(
                     TestCase(app_name, input_name, chip.short_name), opt, times
                 )
-        timer.tick()
     return dataset
 
 
@@ -622,12 +571,6 @@ def run_study(
     :class:`~repro.store.ColumnarDataset` holding the identical
     measurements.  Either way workers send their priced rows back over
     the pool's pipes and the parent merges them in grid order.
-
-    Any parallel run with a checkpoint shares the collected traces
-    with its workers through a write-once cache in the checkpoint dir
-    instead of re-pickling them per worker per pool build
-    (``study.traces.shared`` vs ``study.traces.rebuilt`` in the run
-    report).
 
     ``shard_timeout`` (seconds, parallel mode only) arms the hung-shard
     watchdog: a shard still executing past the deadline is terminated,
@@ -729,51 +672,24 @@ def run_study(
                 f"resuming: {len(done)}/{total} shards already priced{dropped}"
             )
 
-    trace_cache: Optional[str] = None
-    if jobs > 1 and ckpt is not None:
-        from ..store.tracecache import save_trace_cache, trace_cache_path
-
-        cache_path = trace_cache_path(ckpt.directory, fingerprint)
-        try:
-            save_trace_cache(cache_path, fingerprint, traces)
-        except (OSError, DatasetError):
-            pass  # fall back to pickling the traces to each worker
-        else:
-            trace_cache = cache_path
-
     rec.gauge(
         "study.shards.total", len(config.chips) * len(config.configs)
     )
-    timer.start("pricing", total=len(config.chips))
-    if jobs == 1:
-        dataset = _run_serial(
-            config,
-            traces,
-            programs,
-            engine,
-            timer,
-            faults=faults,
-            checkpoint=ckpt,
-            done=done,
-            recorder=rec,
-        )
-    else:
-        dataset = _run_parallel(
-            config,
-            traces,
-            programs,
-            engine,
-            jobs,
-            timer,
-            faults=faults,
-            checkpoint=ckpt,
-            done=done,
-            retries=retries,
-            backoff=backoff,
-            shard_timeout=shard_timeout,
-            recorder=rec,
-            trace_cache=trace_cache,
-        )
+    dataset = _run_sweep(
+        config,
+        traces,
+        programs,
+        engine,
+        jobs,
+        timer,
+        faults=faults,
+        checkpoint=ckpt,
+        done=done,
+        retries=retries,
+        backoff=backoff,
+        shard_timeout=shard_timeout,
+        recorder=rec,
+    )
     if store == "v3":
         from ..store.columnar import columnar_from_dataset
 

@@ -2,8 +2,8 @@
 
 Three layers:
 
-* unit tests of the writer/reader pair — interning, conflicts, chunk
-  concatenation, lazy verification, corruption and salvage;
+* unit tests of the writer/reader pair — interning, conflicts, lazy
+  verification, corruption, salvage and unmapping on close;
 * a Hypothesis property suite: any dataset (unicode axis names,
   NaN/inf/negative-zero timings, ragged repetition counts) survives a
   write/load round trip with *bitwise* float equality;
@@ -29,10 +29,7 @@ from repro.store import (
     ColumnarDataset,
     columnar_from_dataset,
     inspect_columnar,
-    load_trace_cache,
     salvage_columnar,
-    save_trace_cache,
-    trace_cache_path,
     write_columnar,
 )
 from repro.store.cli import main as dataset_cli
@@ -181,6 +178,15 @@ class TestRoundTrip:
 # -- read-only contract -------------------------------------------------------
 
 
+class TestClose:
+    def test_close_unmaps_the_file(self, v3_path):
+        write_columnar(_small_dataset(), v3_path)
+        ds = ColumnarDataset.load(v3_path)
+        assert not ds._buf.closed
+        ds.close()
+        assert ds._buf.closed
+
+
 class TestReadOnly:
     def test_add_raises(self, v3_path):
         write_columnar(_small_dataset(), v3_path)
@@ -313,37 +319,6 @@ class TestIntegrity:
             "offsets",
             "times",
         }
-
-
-# -- trace cache --------------------------------------------------------------
-
-
-class TestTraceCache:
-    def test_round_trip(self, tmp_path):
-        path = trace_cache_path(str(tmp_path), "ab12cd34ef567890")
-        traces = {("bfs", "g1"): ["fake-trace"]}
-        assert save_trace_cache(path, "ab12cd34ef567890", traces) is True
-        assert load_trace_cache(path, fingerprint="ab12cd34ef567890") == traces
-
-    def test_write_once_keeps_valid_existing(self, tmp_path):
-        fp = "ab12cd34ef567890"
-        path = trace_cache_path(str(tmp_path), fp)
-        save_trace_cache(path, fp, {"v": 1})
-        assert save_trace_cache(path, fp, {"v": 2}) is False
-        assert load_trace_cache(path) == {"v": 1}
-
-    def test_stale_fingerprint_rejected(self, tmp_path):
-        path = trace_cache_path(str(tmp_path), "ab12cd34ef567890")
-        save_trace_cache(path, "ab12cd34ef567890", {"v": 1})
-        with pytest.raises(DatasetError, match="fingerprint"):
-            load_trace_cache(path, fingerprint="0000000000000000")
-
-    def test_corrupt_cache_rejected(self, tmp_path):
-        path = trace_cache_path(str(tmp_path), "ab12cd34ef567890")
-        save_trace_cache(path, "ab12cd34ef567890", {"v": 1})
-        _flip_byte(path, os.path.getsize(path) - 1)
-        with pytest.raises(DatasetError):
-            load_trace_cache(path)
 
 
 # -- CLI ----------------------------------------------------------------------

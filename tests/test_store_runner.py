@@ -2,9 +2,10 @@
 
 Covers ``run_study(store="v3")`` (the rows sweep converted to a
 columnar dataset, byte-identical to a serial save), checkpointed
-``store="v3"`` runs, the ``.v3`` files older builds left in checkpoint
-directories, the shared trace cache and its observability counters,
-and ``repro doctor`` on those checkpoints.
+``store="v3"`` runs, the files older builds left in checkpoint
+directories (``.v3`` shards and chunks, trace caches), what a
+checkpointed parallel run leaves behind, and ``repro doctor`` on those
+checkpoints.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from repro.compiler import enumerate_configs
 from repro.graphs import rmat_graph, road_network
 from repro.graphs.inputs import StudyInput
 from repro.obs import Recorder, RunReport
-from repro.store import ColumnarDataset, load_trace_cache
-from repro.study import StudyConfig, collect_traces, run_study
-from repro.study.checkpoint import study_fingerprint
+from repro.store import ColumnarDataset
+from repro.study import StudyConfig, run_study
+from repro.study.checkpoint import StudyCheckpoint
 from repro.study.doctor import diagnose_checkpoint
 
 
@@ -92,16 +93,22 @@ def _shards(ckpt: str):
     return sorted(n for n in os.listdir(ckpt) if n.startswith("shard-"))
 
 
+#: The trace cache an older build wrote next to the shards.
+_OLD_TRACE_CACHE = "traces-0123456789abcdef.bin"
+
+
 def _plant_older_build_files(ckpt: str) -> None:
-    """Swap one JSON shard for the ``.v3`` files older builds wrote.
+    """Swap one JSON shard for the files older builds wrote.
 
     Builds that spilled columnar chunks left ``shard-*.v3`` shards and
-    un-adopted ``chunk-*.v3`` spill files in checkpoint directories.
+    un-adopted ``chunk-*.v3`` spill files in checkpoint directories;
+    builds that shared traces through the checkpoint left a
+    ``traces-<fingerprint>.bin`` cache.
     """
     os.unlink(os.path.join(ckpt, "shard-0000-0001.json"))
-    for name in ("shard-0000-0001.v3", "chunk-0000-0000.v3"):
+    for name in ("shard-0000-0001.v3", "chunk-0000-0000.v3", _OLD_TRACE_CACHE):
         with open(os.path.join(ckpt, name), "wb") as f:
-            f.write(b"PDV3 from an older build")
+            f.write(b"written by an older build")
 
 
 class TestColumnarCheckpoint:
@@ -141,45 +148,25 @@ class TestColumnarCheckpoint:
         )
         assert resumed == serial_dataset
         report = RunReport.from_recorder(rec)
-        # Only the cell whose JSON shard is gone is re-priced; neither
-        # .v3 file counts as a shard, valid or invalid.
+        # Only the cell whose JSON shard is gone is re-priced; no file
+        # an older build left counts as a shard, valid or invalid.
         assert report.total_counter("study.shards.priced") == 1
         assert report.total_counter("study.checkpoint.invalid_shards") == 0
         assert "shard-0000-0001.json" in _shards(ckpt)
 
-
-class TestTraceCache:
-    def test_cache_written_and_loadable(self, tiny_config, tmp_path):
+    def test_parallel_run_leaves_manifest_shards_and_metrics(
+        self, tiny_config, tmp_path
+    ):
         ckpt = str(tmp_path / "ckpt")
-        run_study(tiny_config, jobs=2, checkpoint=ckpt)
-        fingerprint = study_fingerprint(
-            tiny_config, "batch", collect_traces(tiny_config)
-        )
-        caches = [n for n in os.listdir(ckpt) if n.startswith("traces-")]
-        assert caches == [f"traces-{fingerprint}.bin"]
-        traces = load_trace_cache(
-            os.path.join(ckpt, caches[0]), fingerprint=fingerprint
-        )
-        assert traces  # one per (app, input)
-
-    def test_workers_count_shared_traces(self, tiny_config, tmp_path):
-        rec = Recorder(clock=lambda: 0.0)
         run_study(
             tiny_config,
             jobs=2,
-            checkpoint=str(tmp_path / "ckpt"),
-            recorder=rec,
+            checkpoint=ckpt,
+            recorder=Recorder(clock=lambda: 0.0),
         )
-        report = RunReport.from_recorder(rec)
-        assert report.total_counter("study.traces.shared") > 0
-        assert report.total_counter("study.traces.rebuilt") == 0
-
-    def test_workers_count_rebuilt_without_checkpoint(self, tiny_config):
-        rec = Recorder(clock=lambda: 0.0)
-        run_study(tiny_config, jobs=2, recorder=rec)
-        report = RunReport.from_recorder(rec)
-        assert report.total_counter("study.traces.rebuilt") > 0
-        assert report.total_counter("study.traces.shared") == 0
+        others = sorted(set(os.listdir(ckpt)) - set(_shards(ckpt)))
+        assert len(_shards(ckpt)) == 2 * 12
+        assert others == ["manifest.json", "metrics.json"]
 
 
 class TestDoctorOnColumnarCheckpoints:
@@ -211,11 +198,13 @@ class TestDoctorOnColumnarCheckpoints:
         assert not any("chunk-" in f.message for f in diag.findings)
 
     def test_trace_cache_not_misread_as_shard(self, tiny_config, tmp_path):
-        """traces-*.bin in the directory never confuses the doctor."""
+        """An older build's traces-*.bin never confuses the doctor, and
+        clearing the checkpoint still removes it."""
         ckpt = str(tmp_path / "ckpt")
         run_study(tiny_config, jobs=2, checkpoint=ckpt)
-        assert any(
-            n.startswith("traces-") for n in os.listdir(ckpt)
-        )
+        _plant_older_build_files(ckpt)
         diag = diagnose_checkpoint(ckpt)
         assert diag.ok
+        assert not any(_OLD_TRACE_CACHE in f.message for f in diag.findings)
+        StudyCheckpoint(ckpt).clear()
+        assert not os.path.exists(os.path.join(ckpt, _OLD_TRACE_CACHE))

@@ -197,17 +197,25 @@ class TestProgress:
         ]
 
     def test_run_study_progress_has_phase_timing(self, tiny_config):
-        messages = []
-        run_study(tiny_config, progress=messages.append)
-        assert any(
-            m.startswith("collected ") and "traces in" in m for m in messages
-        )
-        assert any(m.startswith("priced ") for m in messages)
-        pricing = [m for m in messages if m.startswith("pricing on ")]
-        assert len(pricing) == len(tiny_config.chips)
-        assert all("elapsed" in m for m in pricing)
-        # The second chip's message carries an ETA from the first's rate.
-        assert "eta" in pricing[1]
+        for jobs in (1, 2):
+            messages = []
+            run_study(tiny_config, progress=messages.append, jobs=jobs)
+            assert any(
+                m.startswith("collected ") and "traces in" in m
+                for m in messages
+            )
+            assert any(
+                m.startswith("priced ") and "measurements" in m
+                for m in messages
+            )
+            # The pricing phase ticks once per shard as it is priced:
+            # 24 shards, a note every 2, each but the last with an ETA.
+            shards = [m for m in messages if " shards [" in m]
+            assert len(shards) == 12
+            assert shards[0].startswith("priced 2/24 shards [2/24, elapsed ")
+            assert all("eta" in m for m in shards[:-1])
+            assert "eta" not in shards[-1]
+            assert not any(m.startswith("pricing on ") for m in messages)
 
     def test_phase_timer_decoration(self):
         out = []
