@@ -16,7 +16,7 @@ from typing import Dict
 import numpy as np
 
 from repro import BASELINE, OptConfig, compile_program, get_chip
-from repro.apps.base import Application
+from repro.apps.base import Application, expand_frontier, unique_nodes
 from repro.dsl import fixpoint_program, relax_kernel
 from repro.graphs import CSRGraph, rmat_graph
 from repro.ocl import AtomicOp
@@ -46,7 +46,7 @@ class KCore(Application):
         )
 
     def init_state(self, graph: CSRGraph, source: int) -> Dict:
-        und = graph.symmetrized()
+        und = graph.undirected()
         degree = und.out_degrees().copy()
         doomed = np.flatnonzero((degree > 0) & (degree < self.k))
         return {
@@ -65,13 +65,11 @@ class KCore(Application):
         frontier = frontier[state["alive"][frontier]]
         state["alive"][frontier] = False
         if frontier.size:
-            from repro.apps.base import expand_frontier
-
             _, dsts, _ = expand_frontier(und, frontier)
             np.subtract.at(state["degree"], dsts, 1)
             alive_dsts = dsts[state["alive"][dsts]]
-            newly_doomed = np.unique(
-                alive_dsts[state["degree"][alive_dsts] < self.k]
+            newly_doomed = unique_nodes(
+                alive_dsts[state["degree"][alive_dsts] < self.k], und.n_nodes
             )
         else:
             dsts = np.empty(0, dtype=np.int64)
@@ -93,7 +91,7 @@ class KCore(Application):
 
     def reference(self, graph: CSRGraph, source: int) -> np.ndarray:
         """Sequential peeling oracle."""
-        und = graph.symmetrized()
+        und = graph.undirected()
         degree = und.out_degrees().copy()
         alive = np.ones(graph.n_nodes, dtype=bool)
         changed = True

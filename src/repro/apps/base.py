@@ -24,7 +24,7 @@ from ..runtime.executor import ExecutionResult, execute
 from ..runtime.stats import StepResult
 from ..util import expand_segments
 
-__all__ = ["Application", "expand_frontier"]
+__all__ = ["Application", "expand_frontier", "unique_nodes"]
 
 
 def expand_frontier(
@@ -43,6 +43,17 @@ def expand_frontier(
     dsts = graph.col_idx[idx]
     wts = graph.weights[idx] if with_weights and graph.has_weights else None
     return srcs, dsts, wts
+
+
+def unique_nodes(ids: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The distinct node ids in ``ids``, ascending.
+
+    Equal to ``np.unique(ids)`` for ids in ``[0, n_nodes)``, but marks a
+    boolmap instead of sorting: frontier dedup is linear in the nodes.
+    """
+    mask = np.zeros(n_nodes, dtype=bool)
+    mask[ids] = True
+    return np.flatnonzero(mask)
 
 
 class Application(abc.ABC):

@@ -26,7 +26,7 @@ from ..graphs.properties import bfs_levels
 from ..ocl.memory import AccessPattern, AtomicOp
 from ..runtime.stats import StepResult, frontier_step_result
 from ..runtime.worklist import Worklist
-from .base import Application, expand_frontier
+from .base import Application, expand_frontier, unique_nodes
 
 __all__ = ["BFSTopo", "BFSWorklist", "BFSWorklistCautious", "BFSHybrid"]
 
@@ -71,7 +71,7 @@ class _BFSBase(Application):
         _, dsts, _ = expand_frontier(graph, frontier)
         level = state["level"]
         candidates = dsts[level[dsts] == _UNREACHED]
-        new = np.unique(candidates)
+        new = unique_nodes(candidates, graph.n_nodes)
         level[new] = state["current"] + 1
         state["current"] += 1
         state["frontier"] = new

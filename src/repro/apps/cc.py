@@ -21,24 +21,26 @@ from ..graphs.csr import CSRGraph
 from ..ocl.memory import AtomicOp
 from ..runtime.stats import StepResult, frontier_step_result
 from ..runtime.worklist import Worklist
-from .base import Application, expand_frontier
+from .base import Application, expand_frontier, unique_nodes
 
 __all__ = ["CCTopo", "CCWorklist"]
 
 
 def _canonical_labels(labels: np.ndarray) -> np.ndarray:
-    """Relabel components to the minimum member id (order-independent)."""
-    _, inverse = np.unique(labels, return_inverse=True)
-    mins = np.full(inverse.max() + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(mins, inverse, np.arange(labels.size, dtype=np.int64))
-    return mins[inverse]
+    """Relabel components to the minimum member id (order-independent).
+
+    ``labels`` are component ids in ``[0, labels.size)``.
+    """
+    mins = np.full(labels.size, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(mins, labels, np.arange(labels.size, dtype=np.int64))
+    return mins[labels]
 
 
 class _CCBase(Application):
     problem = "CC"
 
     def init_state(self, graph: CSRGraph, source: int) -> Dict:
-        und = graph.symmetrized()
+        und = graph.undirected()
         labels = np.arange(graph.n_nodes, dtype=np.int64)
         return {
             "und": und,
@@ -53,7 +55,7 @@ class _CCBase(Application):
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
 
-        und = graph.symmetrized()
+        und = graph.undirected()
         mat = csr_matrix(
             (
                 np.ones(und.n_edges, dtype=np.int8),
@@ -136,7 +138,7 @@ class CCWorklist(_CCBase):
         srcs, dsts, _ = expand_frontier(und, frontier)
         before = labels.copy()
         np.minimum.at(labels, dsts, before[srcs])
-        improved_nodes = np.unique(dsts[labels[dsts] != before[dsts]])
+        improved_nodes = unique_nodes(dsts[labels[dsts] != before[dsts]], und.n_nodes)
         attempts = int(np.count_nonzero(before[srcs] < before[dsts]))
         wl.push(improved_nodes)
         pushes = wl.swap()

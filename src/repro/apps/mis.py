@@ -59,7 +59,7 @@ class _MISBase(Application):
     problem = "MIS"
 
     def init_state(self, graph: CSRGraph, source: int) -> Dict:
-        und = graph.symmetrized()
+        und = graph.undirected()
         return {
             "und": und,
             "status": np.full(graph.n_nodes, _UNDECIDED, dtype=np.int8),
@@ -71,7 +71,7 @@ class _MISBase(Application):
         return (state["status"] == _IN_SET).astype(np.int64)
 
     def reference(self, graph: CSRGraph, source: int) -> np.ndarray:
-        und = graph.symmetrized()
+        und = graph.undirected()
         priority = mis_priorities(graph)
         order = np.argsort(priority, kind="stable")
         in_set = np.zeros(graph.n_nodes, dtype=bool)

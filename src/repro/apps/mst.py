@@ -22,7 +22,7 @@ from ..dsl.builder import edge_kernel, phased_program
 from ..graphs.csr import CSRGraph
 from ..ocl.memory import AccessPattern, AtomicOp
 from ..runtime.stats import StepResult, access_irregularity
-from .base import Application
+from .base import Application, unique_nodes
 
 __all__ = ["MSTBoruvka", "kruskal_weight"]
 
@@ -152,7 +152,7 @@ class MSTBoruvka(Application):
         und: CSRGraph = state["und"]
         comp = state["component"]
         chosen = state["chosen"]
-        n_comps = int(np.unique(comp).size)
+        n_comps = int(unique_nodes(comp, und.n_nodes).size)
         if chosen is None or chosen.size == 0:
             return StepResult(active_items=n_comps, more_work=False)
         comp_s = comp[state["srcs"][chosen]]
@@ -165,11 +165,11 @@ class MSTBoruvka(Application):
         parent[roots] = roots
         state["parent"] = parent
         # Accumulate each selected undirected edge once.
-        uniq = np.unique(state["canon"][chosen])
-        canon_sorted = np.sort(state["canon"][chosen])
+        order = np.argsort(state["canon"][chosen], kind="stable")
+        chosen_sorted = chosen[order]
+        canon_sorted = state["canon"][chosen_sorted]
         keep_first = np.ones(canon_sorted.size, dtype=bool)
         keep_first[1:] = canon_sorted[1:] != canon_sorted[:-1]
-        chosen_sorted = chosen[np.argsort(state["canon"][chosen], kind="stable")]
         state["mst_weight"] += float(und.weights[chosen_sorted[keep_first]].sum())
         return StepResult(
             active_items=n_comps,

@@ -22,7 +22,7 @@ from ..graphs.csr import CSRGraph
 from ..ocl.memory import AtomicOp
 from ..runtime.stats import StepResult, frontier_step_result
 from ..runtime.worklist import Worklist
-from .base import Application, expand_frontier
+from .base import Application, expand_frontier, unique_nodes
 
 __all__ = ["PRTopo", "PRPush", "pagerank_reference"]
 
@@ -162,8 +162,9 @@ class PRPush(_PRBase):
         per_edge = np.repeat(push_amount, graph.out_degrees()[frontier])
         before = residual.copy()
         np.add.at(residual, dsts, per_edge)
-        crossed = np.unique(
-            dsts[(residual[dsts] > PUSH_EPSILON) & (before[dsts] <= PUSH_EPSILON)]
+        crossed = unique_nodes(
+            dsts[(residual[dsts] > PUSH_EPSILON) & (before[dsts] <= PUSH_EPSILON)],
+            graph.n_nodes,
         )
         wl.push(crossed)
         pushes = wl.swap()

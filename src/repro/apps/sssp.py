@@ -26,7 +26,7 @@ from ..graphs.csr import CSRGraph
 from ..ocl.memory import AtomicOp
 from ..runtime.stats import StepResult, frontier_step_result
 from ..runtime.worklist import Worklist
-from .base import Application, expand_frontier
+from .base import Application, expand_frontier, unique_nodes
 
 __all__ = ["SSSPTopo", "SSSPWorklist", "SSSPNearFar", "dijkstra_reference"]
 
@@ -70,7 +70,7 @@ class _SSSPBase(Application):
         cand = dist[srcs] + wts
         before = dist.copy()
         np.minimum.at(dist, dsts, cand)
-        improved = np.unique(dsts[dist[dsts] < before[dsts]])
+        improved = unique_nodes(dsts[dist[dsts] < before[dsts]], graph.n_nodes)
         attempts = int(np.count_nonzero(cand < before[dsts]))
         return dsts, improved, attempts
 
@@ -180,10 +180,13 @@ class SSSPNearFar(_SSSPBase):
         dsts, improved, attempts = self._relax(graph, state, frontier)
         near = improved[dist[improved] < state["threshold"]]
         far = improved[dist[improved] >= state["threshold"]]
-        state["far"] = np.unique(np.concatenate([state["far"], far]))
         # A deferred node that has since improved into the near band is
         # promoted now rather than kept stale in the far pile.
-        state["far"] = np.setdiff1d(state["far"], near, assume_unique=True)
+        pile = np.zeros(graph.n_nodes, dtype=bool)
+        pile[state["far"]] = True
+        pile[far] = True
+        pile[near] = False
+        state["far"] = np.flatnonzero(pile)
         if near.size == 0:
             # Near pile drained: advance the threshold and promote.
             while state["far"].size and near.size == 0:

@@ -41,7 +41,7 @@ def triangle_count_oracle(graph: CSRGraph) -> int:
     O(m · d) with Python sets — intended for the small graphs used in
     tests, not the study inputs.
     """
-    und = graph.symmetrized()
+    und = graph.undirected()
     adj = {v: set(map(int, und.neighbors(v))) for v in range(und.n_nodes)}
     total = 0
     for u in range(und.n_nodes):
@@ -74,7 +74,7 @@ class _TriBase(Application):
     problem = "TRI"
 
     def init_state(self, graph: CSRGraph, source: int) -> Dict:
-        und = graph.symmetrized()
+        und = graph.undirected()
         return {"und": und, "count": 0}
 
     def extract_result(self, state: Dict, graph: CSRGraph) -> np.ndarray:

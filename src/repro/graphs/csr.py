@@ -70,6 +70,7 @@ class CSRGraph:
         self._col_idx = col_idx
         self._weights = weights
         self.name = name
+        self._undirected: Optional[CSRGraph] = None
         self._row_ptr.setflags(write=False)
         self._col_idx.setflags(write=False)
         if self._weights is not None:
@@ -125,42 +126,46 @@ class CSRGraph:
         When duplicate edges carry weights, the minimum weight is kept
         (the convention used by shortest-path inputs).
         """
-        src = self.edge_sources()
-        dst = self._col_idx
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        w = self._weights[keep] if self._weights is not None else None
-        key = src * self.n_nodes + dst
-        if w is None:
-            uniq = np.unique(key)
-            usrc, udst = uniq // self.n_nodes, uniq % self.n_nodes
-            return CSRGraph.from_edges(
-                self.n_nodes, np.column_stack([usrc, udst]), name=self.name
-            )
-        order = np.lexsort((w, key))
-        key, src, dst, w = key[order], src[order], dst[order], w[order]
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        return CSRGraph.from_edges(
-            self.n_nodes,
-            np.column_stack([src[first], dst[first]]),
-            w[first],
-            name=self.name,
+        return _simple_graph(
+            self.n_nodes, self.edge_sources(), self._col_idx, self._weights, self.name
         )
 
     def symmetrized(self) -> "CSRGraph":
-        """Return the graph with every edge mirrored (and deduplicated)."""
-        src = self.edge_sources()
-        dst = self._col_idx
-        all_src = np.concatenate([src, dst])
-        all_dst = np.concatenate([dst, src])
+        """Return the graph with every edge mirrored (and deduplicated).
+
+        Weights are kept, the minimum of each mirrored pair winning.
+        Applications that need only the structure use :meth:`undirected`,
+        which is built once per graph.
+        """
         w = None
         if self._weights is not None:
             w = np.concatenate([self._weights, self._weights])
-        g = CSRGraph.from_edges(
-            self.n_nodes, np.column_stack([all_src, all_dst]), w, name=self.name
+        return self._mirrored(w)
+
+    def undirected(self) -> "CSRGraph":
+        """The unweighted, simple, undirected view of the graph.
+
+        The structure of :meth:`symmetrized` without its weights, built
+        on first use and kept: the graph is immutable, so every
+        application that needs the view (CC, TRI, MIS) shares one copy.
+        The view is its own undirected view.
+        """
+        if self._undirected is None:
+            view = self._mirrored(None)
+            view._undirected = view
+            self._undirected = view
+        return self._undirected
+
+    def _mirrored(self, weights: Optional[np.ndarray]) -> "CSRGraph":
+        """Every edge plus its mirror, deduplicated; ``weights`` cover both."""
+        src = self.edge_sources()
+        return _simple_graph(
+            self.n_nodes,
+            np.concatenate([src, self._col_idx]),
+            np.concatenate([self._col_idx, src]),
+            weights,
+            self.name,
         )
-        return g.deduplicated()
 
     def reversed(self) -> "CSRGraph":
         """Return the transpose graph (all edges flipped)."""
@@ -270,3 +275,35 @@ class CSRGraph:
 
     def __hash__(self) -> int:
         return hash((self.name, self.n_nodes, self.n_edges))
+
+
+def _simple_graph(
+    n_nodes: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    weights: Optional[np.ndarray],
+    name: str,
+) -> CSRGraph:
+    """CSR of the distinct non-loop ``(src, dst)`` pairs, in one sort.
+
+    Each pair becomes the key ``src * n_nodes + dst``; sorted keys are
+    already in CSR order (by source, then destination), so the row
+    pointer is a ``bincount`` of their sources.  Among duplicate pairs
+    the minimum weight is kept.
+    """
+    keep = src != dst
+    key = src[keep] * n_nodes + dst[keep]
+    w = None
+    if weights is None:
+        key = np.unique(key)
+    else:
+        w = weights[keep]
+        order = np.lexsort((w, key))
+        key, w = key[order], w[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        key, w = key[first], w[first]
+    n = max(n_nodes, 1)
+    row_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // n, minlength=n_nodes), out=row_ptr[1:])
+    return CSRGraph(row_ptr, key % n, w, name=name)

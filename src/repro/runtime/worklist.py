@@ -43,17 +43,13 @@ class Worklist:
         """The current iteration's items (read-only semantics)."""
         return self._current
 
-    def push(self, items: np.ndarray, deduplicate: bool = False) -> int:
+    def push(self, items: np.ndarray) -> int:
         """Append items to the out-buffer; returns the number pushed.
 
-        ``deduplicate`` models applications that filter duplicates
-        before pushing (each still costs the filtering atomic, but the
-        worklist stays smaller); the push count returned is the number
-        of atomic tail bumps actually performed.
+        The count is the number of atomic tail bumps performed, one per
+        item.
         """
         items = np.asarray(items, dtype=np.int64).ravel()
-        if deduplicate:
-            items = np.unique(items)
         self._next.append(items)
         n = int(items.size)
         self._pushes_this_iteration += n

@@ -59,9 +59,13 @@ ShardRows = List[Tuple[str, str, List[float]]]
 #: File name of one shard; the groups are its (chip, config) task.
 SHARD_RE = re.compile(r"^shard-(\d+)-(\d+)\.json$")
 
-#: Compiled-trace caches that older builds wrote next to the shards;
-#: never read, but :meth:`StudyCheckpoint.clear` still removes them.
-_TRACES_RE = re.compile(r"^traces-[0-9a-f]+\.bin$")
+#: Files that older builds wrote next to the shards: columnar
+#: ``shard-*.v3`` shards, ``chunk-*.v3`` spill files and
+#: ``traces-<fingerprint>.bin`` caches.  Never read, but
+#: :meth:`StudyCheckpoint.clear` still removes them.
+_OLDER_BUILD_RE = re.compile(
+    r"^(?:(?:shard|chunk)-\d+-\d+\.v3|traces-[0-9a-f]+\.bin)$"
+)
 
 
 def study_fingerprint(config, engine: str, traces: Dict[tuple, object]) -> str:
@@ -241,7 +245,7 @@ class StudyCheckpoint:
                 name == self.MANIFEST
                 or name == self.METRICS
                 or SHARD_RE.match(name)
-                or _TRACES_RE.match(name)
+                or _OLDER_BUILD_RE.match(name)
             ):
                 try:
                     os.unlink(os.path.join(self.directory, name))

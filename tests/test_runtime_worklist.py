@@ -30,13 +30,6 @@ class TestWorklist:
         wl.push(np.array([3]))
         assert wl.swap() == 4
 
-    def test_deduplicated_push_counts_unique(self):
-        wl = Worklist()
-        n = wl.push(np.array([1, 1, 2]), deduplicate=True)
-        assert n == 2
-        wl.swap()
-        assert wl.items().tolist() == [1, 2]
-
     def test_total_pushes_accumulates(self):
         wl = Worklist()
         wl.push(np.array([1]))

@@ -168,6 +168,15 @@ class TestColumnarCheckpoint:
         assert len(_shards(ckpt)) == 2 * 12
         assert others == ["manifest.json", "metrics.json"]
 
+    def test_clear_removes_every_file_older_builds_left(self, tiny_config, tmp_path):
+        """JSON shards, ``shard-*.v3``, ``chunk-*.v3`` and ``traces-*.bin``
+        all go, so the directory itself is removed after a good save."""
+        ckpt = str(tmp_path / "ckpt")
+        run_study(tiny_config, jobs=2, checkpoint=ckpt)
+        _plant_older_build_files(ckpt)
+        StudyCheckpoint(ckpt).clear()
+        assert not os.path.exists(ckpt)
+
 
 class TestDoctorOnColumnarCheckpoints:
     def test_healthy_v3_checkpoint(self, tiny_config, tmp_path):
