@@ -44,6 +44,7 @@ import time
 from repro.apps import all_applications, get_application
 from repro.chips import all_chips, get_chip
 from repro.compiler import enumerate_configs, plan_cache
+from repro.core.cells import CellTable
 from repro.core.search import SEARCH_STRATEGIES
 from repro.core.search_eval import replay_search
 from repro.graphs.inputs import study_inputs
@@ -236,8 +237,10 @@ def main() -> int:
 
     # Budgeted-search replay throughput over the freshly swept dataset
     # (the repro search / report-budget hot loop: propose/observe against
-    # the dataset-as-oracle, no re-simulation).  At 10x scope a fixed
-    # sample of tests keeps the replay phase proportionate.
+    # the dataset-as-oracle, no re-simulation).  The cell table is built
+    # once per sweep, as budget_fractions does, outside the timed loop.
+    # At 10x scope a fixed sample of tests keeps the replay phase
+    # proportionate.
     budgets = (8, 32) if scope == "quick" else (8, 32, 96)
     search_tests = (
         scalar_ds.tests[:24] if scope == "10x" else scalar_ds.tests
@@ -247,12 +250,13 @@ def main() -> int:
             f"search: sampling {len(search_tests)}/{len(scalar_ds.tests)} "
             f"tests at 10x scope"
         )
+    cells = CellTable(scalar_ds)
     search_started = time.perf_counter()
     replays = 0
     for test in search_tests:
         for name in sorted(SEARCH_STRATEGIES):
             for budget in budgets:
-                replay_search(scalar_ds, test, name, budget)
+                replay_search(scalar_ds, cells, test, name, budget)
                 replays += 1
     search_s = time.perf_counter() - search_started
     print(

@@ -1,11 +1,14 @@
-"""The per-cell summary table the analysis passes share.
+"""The per-cell summary table every analysis pass shares.
 
-Algorithm 1's significance filter, the portfolio set cover and the
-strategy index all read the same few numbers of each (test,
+Algorithm 1, the portfolios, the strategy index, the portability
+figures and search replay all read the same few numbers of each (test,
 configuration) cell: its repetition count, mean, sample variance and
 median.  :class:`CellTable` computes them in one pass over
 ``dataset.iter_cells()`` — which streams both the dict-backed and the
 columnar (v3) store — so no analysis touches a raw timing tuple twice.
+Two oracle tie rules read it: :meth:`CellTable.oracle` takes the first
+lowest median in dataset configuration order, search replay
+(:func:`repro.core.search_eval.oracle_best`) the lowest ``(median, key)``.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ class CellTable:
     """``(n, mean, var, median)`` per measured (test, configuration)."""
 
     def __init__(self, dataset: PerfDataset) -> None:
-        #: Configuration keys in the dataset's own order (the order the
-        #: oracle breaks ties in, as :meth:`PerfDataset.best_config`).
+        #: Configuration keys in the dataset's own order (the order
+        #: :meth:`oracle` breaks ties in).
         self.config_keys: List[str] = [c.key() for c in dataset.configs]
         self._rows: Dict[TestCase, Dict[str, CellSummary]] = {}
         for test, key, times in dataset.iter_cells():

@@ -1,6 +1,6 @@
 """Cross-chip portability analyses (paper Section II, Figs 1-2, Table II).
 
-These consume only oracle queries over the dataset:
+These consume only oracle queries over one per-call cell table:
 
 * **cross-chip heatmap** (Fig 1) — how much a chip slows down when run
   with optimisation settings that are optimal for another chip;
@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.options import BASELINE, OPT_NAMES, OptConfig
+from ..errors import DatasetError
 from ..study.dataset import PerfDataset, TestCase
-from .significance import classify_outcome
-from .stats.summary import geomean, median
+from .cells import CellTable
+from .significance import summary_outcome
+from .stats.summary import geomean
 
 __all__ = [
     "cross_chip_heatmap",
@@ -41,29 +43,29 @@ def cross_chip_heatmap(
     """
     chips = dataset.chips
     pairs = sorted({(t.app, t.graph) for t in dataset.tests})
-    # Oracle configuration of every (app, input, chip).
-    best: Dict[Tuple[str, str, str], OptConfig] = {}
+    cells = CellTable(dataset)
+    # Oracle configuration key of every (app, input, chip).
+    best: Dict[Tuple[str, str, str], str] = {}
     for test in dataset.tests:
-        best[(test.app, test.graph, test.chip)] = dataset.best_config(test)
+        key = cells.oracle(test)
+        if key is None:
+            raise DatasetError(f"no measurements at all for {test}")
+        best[(test.app, test.graph, test.chip)] = key
 
     heat: Dict[Tuple[str, str], float] = {}
     for run_chip in chips:
         for opt_chip in chips:
             ratios = []
             for app, graph in pairs:
-                test = TestCase(app, graph, run_chip)
-                own_cfg = best.get((app, graph, run_chip))
-                opt_cfg = best.get((app, graph, opt_chip))
-                if own_cfg is None or opt_cfg is None:
-                    continue
-                own_times = dataset.times_or_none(test, own_cfg)
-                ported_times = dataset.times_or_none(test, opt_cfg)
-                if own_times is None or ported_times is None:
+                row = cells.row(TestCase(app, graph, run_chip))
+                own = row.get(best.get((app, graph, run_chip)))
+                ported = row.get(best.get((app, graph, opt_chip)))
+                if own is None or ported is None:
                     # Degraded dataset: the ported configuration was
                     # never measured on this chip; the geomean is over
                     # the pairs that were.
                     continue
-                ratios.append(median(ported_times) / median(own_times))
+                ratios.append(ported.median / own.median)
             heat[(run_chip, opt_chip)] = (
                 geomean(ratios) if ratios else float("nan")
             )
@@ -89,25 +91,26 @@ def performance_envelope(
     Only statistically significant outcomes qualify, matching the
     paper's definitions of speedup and slowdown.
     """
+    cells = CellTable(dataset)
     result: Dict[str, Tuple[EnvelopeEntry, EnvelopeEntry]] = {}
     for chip in dataset.chips:
         best_entry: Optional[EnvelopeEntry] = None
         worst_entry: Optional[EnvelopeEntry] = None
         for test in dataset.tests_where(chip=chip):
-            base = dataset.times_or_none(test, BASELINE)
+            row = cells.row(test)
+            base = row.get(BASELINE.key())
             if base is None:
                 continue
-            base_med = median(base)
             for config in dataset.configs:
                 if config.is_baseline:
                     continue
-                times = dataset.times_or_none(test, config)
-                if times is None:
+                cell = row.get(config.key())
+                if cell is None:
                     continue
-                outcome = classify_outcome(base, times)
+                outcome = summary_outcome(base, cell)
                 if outcome == "no-change":
                     continue
-                speedup = base_med / median(times)
+                speedup = base.median / cell.median
                 if outcome == "speedup" and (
                     best_entry is None or speedup > best_entry.factor
                 ):
@@ -128,23 +131,35 @@ def performance_envelope(
     return result
 
 
+def _oracle_speedup(
+    cells: CellTable, test: TestCase
+) -> Optional[Tuple[str, float]]:
+    """The test's oracle key and its median speedup over the baseline,
+    or ``None`` when the baseline was never measured."""
+    row = cells.row(test)
+    base = row.get(BASELINE.key())
+    if base is None:
+        return None
+    best = cells.oracle(test)
+    return best, base.median / row[best].median
+
+
 def top_speedup_opts(
     dataset: PerfDataset, threshold: float = 0.0
 ) -> Dict[str, Dict[str, int]]:
     """Fig 2: per chip, how often each optimisation appears in the
     per-test oracle configuration (counted over tests whose oracle
     speedup exceeds ``threshold``)."""
+    cells = CellTable(dataset)
+    configs = {config.key(): config for config in dataset.configs}
     counts: Dict[str, Dict[str, int]] = {
         chip: {opt: 0 for opt in OPT_NAMES} for chip in dataset.chips
     }
     for test in dataset.tests:
-        base = dataset.times_or_none(test, BASELINE)
-        if base is None:
+        oracle = _oracle_speedup(cells, test)
+        if oracle is None or oracle[1] <= 1.0 + threshold:
             continue
-        best = dataset.best_config(test)
-        if median(base) / median(dataset.times(test, best)) <= 1.0 + threshold:
-            continue
-        for opt in best.enabled_names():
+        for opt in configs[oracle[0]].enabled_names():
             counts[test.chip][opt] += 1
     return counts
 
@@ -153,12 +168,7 @@ def max_geomean_speedup(
     dataset: PerfDataset, tests: Optional[Sequence[TestCase]] = None
 ) -> float:
     """Section II-B's headline: the oracle's geomean speedup over baseline."""
+    cells = CellTable(dataset)
     tests = list(tests) if tests is not None else dataset.tests
-    ratios = []
-    for test in tests:
-        base = dataset.times_or_none(test, BASELINE)
-        if base is None:
-            continue
-        best = median(dataset.times(test, dataset.best_config(test)))
-        ratios.append(median(base) / best)
-    return geomean(ratios)
+    oracles = [_oracle_speedup(cells, test) for test in tests]
+    return geomean([oracle[1] for oracle in oracles if oracle is not None])

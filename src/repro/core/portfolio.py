@@ -414,7 +414,10 @@ def main(argv=None) -> int:
             "every lattice level of a study dataset."
         ),
     )
-    parser.add_argument("dataset", help="input PerfDataset JSON (.gz ok)")
+    parser.add_argument(
+        "dataset",
+        help="input PerfDataset: JSON (.gz ok) or binary columnar (.v3)",
+    )
     parser.add_argument(
         "--target",
         type=float,

@@ -62,6 +62,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..compiler.options import OPT_NAMES, OptConfig, enumerate_configs
 from ..errors import SearchError
+from .stats.summary import sorted_median
 
 __all__ = [
     "SEARCH_STRATEGIES",
@@ -123,15 +124,6 @@ class Observation:
             "best_config": self.best_config,
             "best_median": self.best_median,
         }
-
-
-def _median(times: Sequence[float]) -> float:
-    ordered = sorted(times)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def lattice_neighbours(config: OptConfig) -> List[OptConfig]:
@@ -269,7 +261,7 @@ class SearchStrategy:
         n = len(times)
         prev = self._fidelity.get(key, 0)
         self.spent += max(0, n - prev) / self.repetitions
-        med = _median(times)
+        med = sorted_median(times)
         if n >= prev:
             # Keep the highest-fidelity median per configuration —
             # screening estimates are replaced, never averaged in.

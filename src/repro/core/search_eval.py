@@ -4,6 +4,9 @@ The evaluation harness for :mod:`repro.core.search`.  Nothing is
 re-simulated: a search asking for configuration C on test T is answered
 straight from the :class:`~repro.study.dataset.PerfDataset`, so the
 dataset's exhaustive sweep *is* the oracle a search is scored against.
+Each sweep builds one :class:`~repro.core.cells.CellTable`, and every
+replay reads its medians, oracle and full fidelity from it; the only
+raw timings a replay touches are the ones its search observes.
 
 **Fraction of oracle.**  A replay's recommendation is scored on the
 *full-fidelity* dataset median — even when the strategy only screened
@@ -44,7 +47,8 @@ from ..errors import SearchError
 from ..obs import count
 from ..study.dataset import PerfDataset, TestCase
 from ..util import geomean, stable_hash
-from .search import SEARCH_STRATEGIES, _median, make_strategy
+from .cells import CellTable
+from .search import SEARCH_STRATEGIES, make_strategy
 
 __all__ = [
     "DEFAULT_BUDGETS",
@@ -100,22 +104,8 @@ class ReplayResult:
         }
 
 
-def _test_medians(dataset: PerfDataset, test: TestCase) -> Dict[str, float]:
-    """Config key -> full-fidelity median, for every measured cell.
-
-    Medians are the exact stdlib computation the strategies use, so a
-    full-budget search and the oracle agree bit for bit.
-    """
-    medians: Dict[str, float] = {}
-    for config in dataset.configs:
-        times = dataset.times_or_none(test, config)
-        if times is not None:
-            medians[config.key()] = _median(times)
-    return medians
-
-
 def oracle_best(
-    dataset: PerfDataset, test: TestCase
+    cells: CellTable, test: TestCase
 ) -> Optional[Tuple[str, float]]:
     """The exhaustive-sweep answer: ``(config key, median)`` or ``None``.
 
@@ -125,7 +115,7 @@ def oracle_best(
     budget-of-the-whole-pool search converges to.  ``None`` for a test
     with no measurements at all.
     """
-    medians = _test_medians(dataset, test)
+    medians = cells.medians(test)
     if not medians:
         return None
     med, key = min((m, k) for k, m in medians.items())
@@ -134,6 +124,7 @@ def oracle_best(
 
 def replay_search(
     dataset: PerfDataset,
+    cells: CellTable,
     test: TestCase,
     strategy: str,
     budget: int,
@@ -143,22 +134,16 @@ def replay_search(
 ) -> ReplayResult:
     """Replay one search over one test, answering from the dataset.
 
-    The candidate pool is the dataset's configuration axis; full
-    fidelity is the test's largest repetition count (reduced-fidelity
-    proposals see a prefix of the recorded repetitions).  Holes —
-    configurations never measured for this test — cost nothing and
-    teach the search nothing, exactly like a failed measurement in a
-    live study.
+    The candidate pool is the dataset's configuration axis; ``cells``
+    (its :class:`~repro.core.cells.CellTable`) gives the medians and
+    oracle the replay is scored on and the full fidelity, the test's
+    largest repetition count (reduced-fidelity proposals see a prefix
+    of the recorded repetitions).  Holes — configurations never
+    measured for this test — cost nothing and teach the search nothing,
+    exactly like a failed measurement in a live study.
     """
-    medians = _test_medians(dataset, test)
-    repetitions = max(
-        (
-            len(times)
-            for config in dataset.configs
-            if (times := dataset.times_or_none(test, config)) is not None
-        ),
-        default=1,
-    )
+    medians = cells.medians(test)
+    repetitions = max((cell.n for cell in cells.row(test).values()), default=1)
     rng = random.Random(
         stable_hash(
             "search", strategy, test.app, test.graph, test.chip,
@@ -185,7 +170,7 @@ def replay_search(
     count("search.holes", holes)
 
     best = searcher.best()
-    oracle = oracle_best(dataset, test)
+    oracle = oracle_best(cells, test)
     chosen = best[0] if best is not None else None
     chosen_median = medians.get(chosen) if chosen is not None else None
     fraction: Optional[float] = None
@@ -213,11 +198,57 @@ def replay_search(
     )
 
 
-def _scoreable_tests(dataset: PerfDataset) -> List[TestCase]:
+def _scoreable_tests(dataset: PerfDataset, cells: CellTable) -> List[TestCase]:
     """Tests with at least one measurement, in canonical order."""
-    return [
-        t for t in sorted(dataset.tests) if oracle_best(dataset, t) is not None
-    ]
+    return [t for t in sorted(dataset.tests) if cells.row(t)]
+
+
+#: Partition dim -> TestCase attribute.
+_AXES = {"chip": "chip", "app": "app", "input": "graph"}
+
+
+def _curves(
+    dataset: PerfDataset,
+    cells: CellTable,
+    strategy: str,
+    budgets: Sequence[int],
+    dims: Sequence[str],
+    trials: int,
+    seed: int,
+) -> Dict[Tuple[str, ...], Dict[int, float]]:
+    """Partition key -> budget -> geomean fraction over the partition's
+    tests and ``trials`` replays: the one replay loop of both curves."""
+    unknown = [d for d in dims if d not in _AXES]
+    if unknown:
+        raise SearchError(
+            f"unknown partition dim(s) {unknown}; expected a subset of "
+            f"{sorted(_AXES)}"
+        )
+    if trials < 1:
+        raise SearchError(f"trials must be positive, got {trials}")
+    groups: Dict[Tuple[str, ...], List[TestCase]] = {}
+    for test in _scoreable_tests(dataset, cells):
+        key = tuple(getattr(test, _AXES[d]) for d in dims)
+        groups.setdefault(key, []).append(test)
+    if not groups:
+        raise SearchError("no measured test to replay")
+    # Every test here has an oracle, so every replay has a fraction.
+    return {
+        key: {
+            budget: geomean(
+                [
+                    replay_search(
+                        dataset, cells, test, strategy, budget,
+                        seed=seed, trial=trial,
+                    ).fraction
+                    for test in groups[key]
+                    for trial in range(trials)
+                ]
+            )
+            for budget in budgets
+        }
+        for key in sorted(groups)
+    }
 
 
 def budget_fractions(
@@ -230,35 +261,21 @@ def budget_fractions(
 ) -> Dict[str, Dict[int, float]]:
     """Aggregate quality-vs-budget curves: strategy -> budget -> fraction.
 
-    The fraction at each (strategy, budget) is the geometric mean over
-    every scoreable test and every trial of the replay's fraction of
-    oracle.  Budgets larger than the configuration pool are clamped
-    (they buy nothing extra); ``trials`` re-runs each replay under
-    distinct derived seeds to average out draw luck.
+    The partition curve with no dims: the fraction at each (strategy,
+    budget) is the geometric mean over every scoreable test and every
+    trial of the replay's fraction of oracle.  Budgets larger than the
+    configuration pool are clamped (they buy nothing extra); ``trials``
+    re-runs each replay under distinct derived seeds to average out
+    draw luck.
     """
-    if trials < 1:
-        raise SearchError(f"trials must be positive, got {trials}")
     names = list(strategies) if strategies is not None else sorted(
         SEARCH_STRATEGIES
     )
-    tests = _scoreable_tests(dataset)
-    out: Dict[str, Dict[int, float]] = {}
-    for name in names:
-        per_budget: Dict[int, float] = {}
-        for budget in budgets:
-            fractions = [
-                result.fraction
-                for test in tests
-                for trial in range(trials)
-                if (
-                    result := replay_search(
-                        dataset, test, name, budget, seed=seed, trial=trial
-                    )
-                ).fraction is not None
-            ]
-            per_budget[budget] = geomean(fractions)
-        out[name] = per_budget
-    return out
+    cells = CellTable(dataset)
+    return {
+        name: _curves(dataset, cells, name, budgets, (), trials, seed)[()]
+        for name in names
+    }
 
 
 def partition_fractions(
@@ -277,35 +294,9 @@ def partition_fractions(
     Each partition aggregates (geomean) the fractions of its tests
     across ``trials`` replays.
     """
-    axes = {"chip": "chip", "app": "app", "input": "graph"}
-    unknown = [d for d in dims if d not in axes]
-    if unknown:
-        raise SearchError(
-            f"unknown partition dim(s) {unknown}; expected a subset of "
-            f"{sorted(axes)}"
-        )
-    groups: Dict[Tuple[str, ...], List[TestCase]] = {}
-    for test in _scoreable_tests(dataset):
-        key = tuple(getattr(test, axes[d]) for d in dims)
-        groups.setdefault(key, []).append(test)
-    out: Dict[Tuple[str, ...], Dict[int, float]] = {}
-    for key in sorted(groups):
-        per_budget: Dict[int, float] = {}
-        for budget in budgets:
-            fractions = [
-                result.fraction
-                for test in groups[key]
-                for trial in range(trials)
-                if (
-                    result := replay_search(
-                        dataset, test, strategy, budget,
-                        seed=seed, trial=trial,
-                    )
-                ).fraction is not None
-            ]
-            per_budget[budget] = geomean(fractions)
-        out[key] = per_budget
-    return out
+    return _curves(
+        dataset, CellTable(dataset), strategy, budgets, dims, trials, seed
+    )
 
 
 def main(argv=None) -> int:
@@ -332,7 +323,10 @@ def main(argv=None) -> int:
             "each budget."
         ),
     )
-    parser.add_argument("dataset", help="input PerfDataset JSON (.gz ok)")
+    parser.add_argument(
+        "dataset",
+        help="input PerfDataset: JSON (.gz ok) or binary columnar (.v3)",
+    )
     parser.add_argument(
         "--strategy",
         choices=sorted(SEARCH_STRATEGIES) + ["all"],

@@ -21,12 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from .. import obs
-from .stats.summary import CellSummary, median, summarise
+from .stats.summary import CellSummary, summarise
 from .stats.tdist import t_cdf, t_ppf
 
 __all__ = [
     "classify_outcome",
     "significant_difference",
+    "summary_outcome",
     "welch_interval",
     "welch_significant",
 ]
@@ -111,6 +112,15 @@ def classify_outcome(
     with a higher median a ``"slowdown"``; anything else is
     ``"no-change"``.
     """
-    if not significant_difference(times, baseline_times, confidence):
+    return summary_outcome(
+        summarise(baseline_times), summarise(times), confidence
+    )
+
+
+def summary_outcome(
+    baseline: CellSummary, cell: CellSummary, confidence: float = 0.95
+) -> str:
+    """:func:`classify_outcome` of two summarised samples."""
+    if not welch_significant(cell, baseline, confidence):
         return "no-change"
-    return "speedup" if median(times) < median(baseline_times) else "slowdown"
+    return "speedup" if cell.median < baseline.median else "slowdown"

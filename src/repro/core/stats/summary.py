@@ -8,7 +8,10 @@ import numpy as np
 
 from ...util import geomean
 
-__all__ = ["CellSummary", "geomean", "median", "speedup_ratio", "summarise"]
+__all__ = [
+    "CellSummary", "geomean", "median", "sorted_median", "speedup_ratio",
+    "summarise",
+]
 
 
 class CellSummary(NamedTuple):
@@ -20,13 +23,22 @@ class CellSummary(NamedTuple):
     median: float  # NaN when n == 0
 
 
+def sorted_median(values: Sequence[float]) -> float:
+    """The sorted middle of a non-empty sample (the mean of the two
+    middles for an even count), as ``np.median`` computes it."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
 def summarise(times: Sequence[float]) -> CellSummary:
     """``(n, mean, var(ddof=1), median)`` of one sample.
 
     Mean and variance are numpy's, so a Welch statistic computed from
     the summary equals one computed from the raw sample bit for bit.
-    The median is the sorted middle (or the mean of the two middles),
-    which is what ``np.median`` returns.  An empty sample summarises
+    The median is :func:`sorted_median`.  An empty sample summarises
     to NaNs.
     """
     arr = np.asarray(list(times), dtype=np.float64)
@@ -35,10 +47,8 @@ def summarise(times: Sequence[float]) -> CellSummary:
         nan = float("nan")
         return CellSummary(0, nan, nan, nan)
     var = float(arr.var(ddof=1)) if n >= 2 else float("nan")
-    ordered = sorted(arr.tolist())
-    mid = n // 2
-    med = ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
-    return CellSummary(n, float(arr.mean()), var, float(med))
+    med = sorted_median(arr.tolist())
+    return CellSummary(n, float(arr.mean()), var, med)
 
 
 def median(values: Sequence[float]) -> float:

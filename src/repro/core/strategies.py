@@ -157,8 +157,7 @@ def _oracle_from(
     cells: CellTable,
     tests: Optional[Sequence[TestCase]] = None,
 ) -> Dict[Tuple, OptConfig]:
-    """:func:`oracle_assignment` read off a prepared cell table; the
-    same configurations :meth:`PerfDataset.best_config` picks."""
+    """:func:`oracle_assignment` read off a prepared cell table."""
     configs = {config.key(): config for config in dataset.configs}
     assignment: Dict[Tuple, OptConfig] = {}
     for t in tests if tests is not None else dataset.tests:

@@ -32,6 +32,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from ..core.stats.summary import sorted_median
 from ..errors import ServeError
 
 __all__ = ["DEFAULT_CAPACITY", "ObservationStore"]
@@ -41,15 +42,6 @@ DEFAULT_CAPACITY = 256
 
 #: One cell's accumulated evidence: config key -> [count, sum of medians].
 _Cell = Dict[str, List[float]]
-
-
-def _median(times: Tuple[float, ...]) -> float:
-    ordered = sorted(times)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 class ObservationStore:
@@ -88,7 +80,7 @@ class ObservationStore:
         """Fold one priced observation into its cell (LRU-refreshing)."""
         if not times_us:
             return
-        med = _median(tuple(float(t) for t in times_us))
+        med = sorted_median([float(t) for t in times_us])
         key = (chip, app, input)
         with self._lock:
             cell = self._cells.get(key)

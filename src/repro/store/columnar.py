@@ -583,7 +583,7 @@ class ColumnarDataset(PerfDataset):
     """A read-only :class:`PerfDataset` backed by a v3 columnar buffer.
 
     Every protocol query (``times`` / ``times_or_none`` / ``coverage``
-    / ``best_config`` / ``subset`` / …) works unchanged; timings live
+    / ``iter_cells`` / ``subset`` / …) works unchanged; timings live
     in the mapped file and are materialised per cell on first access.
     Mutation (:meth:`add` / :meth:`update`) raises — convert with
     :func:`columnar_from_dataset` round-tripped through a

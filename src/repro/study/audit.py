@@ -246,13 +246,9 @@ def audit_dataset(
     dim_present: Dict[Tuple[str, str], int] = {}
     dim_expected: Dict[Tuple[str, str], int] = {}
 
-    def _axes(test: TestCase, config: OptConfig):
-        return (
-            ("chip", test.chip),
-            ("app", test.app),
-            ("input", test.graph),
-            ("config", config.label()),
-        )
+    # Each configuration's key and label, computed once: the grid walk
+    # below visits every (test, configuration) pair.
+    grid = [(config.key(), config.label()) for config in configs]
 
     # One streaming pass over the dataset's cells classifies each
     # present grid cell (``None`` = healthy, else the quarantine
@@ -260,7 +256,7 @@ def audit_dataset(
     # no per-cell timing tuples — so a columnar dataset audits off its
     # mapped file without ever materialising the full grid in memory.
     grid_tests = set(tests)
-    grid_keys = {config.key() for config in configs}
+    grid_keys = {key for key, _ in grid}
     verdicts: Dict[Tuple[TestCase, str], Optional[str]] = {}
     for test, key, times in dataset.iter_cells():
         if test in grid_tests and key in grid_keys:
@@ -268,26 +264,28 @@ def audit_dataset(
 
     _MISSING = "missing"  # sentinel distinct from None (= healthy)
     for test in tests:
-        for config in configs:
-            for axis in _axes(test, config):
+        test_axes = (
+            ("chip", test.chip),
+            ("app", test.app),
+            ("input", test.graph),
+        )
+        for key, label in grid:
+            axes = test_axes + (("config", label),)
+            for axis in axes:
                 dim_expected[axis] = dim_expected.get(axis, 0) + 1
-            reason = verdicts.get((test, config.key()), _MISSING)
+            reason = verdicts.get((test, key), _MISSING)
             if reason is _MISSING:
-                issues.append(
-                    CellIssue(test, config.key(), "missing", "no measurement")
-                )
+                issues.append(CellIssue(test, key, "missing", "no measurement"))
                 continue
             if reason is not None:
                 if strict:
                     raise AuditError(
-                        f"audit failed for {test} [{config.label()}]: {reason}"
+                        f"audit failed for {test} [{label}]: {reason}"
                     )
-                issues.append(
-                    CellIssue(test, config.key(), "quarantined", reason)
-                )
+                issues.append(CellIssue(test, key, "quarantined", reason))
                 continue
             present += 1
-            for axis in _axes(test, config):
+            for axis in axes:
                 dim_present[axis] = dim_present.get(axis, 0) + 1
 
     quarantined = [i for i in issues if i.verdict == "quarantined"]

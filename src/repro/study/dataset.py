@@ -215,23 +215,6 @@ class PerfDataset:
     def median(self, test: TestCase, config: OptConfig) -> float:
         return float(np.median(self.times(test, config)))
 
-    def best_config(
-        self, test: TestCase, configs: Optional[Iterable[OptConfig]] = None
-    ) -> OptConfig:
-        """The oracle configuration: lowest median time for this test.
-
-        Only configurations actually measured for this test compete, so
-        the oracle is well-defined on a partial dataset; a test with no
-        measurements at all raises :class:`~repro.errors.DatasetError`.
-        """
-        candidates = list(configs) if configs is not None else self.configs
-        if not candidates:
-            raise DatasetError("no configurations to choose from")
-        measured = [c for c in candidates if self.has(test, c)]
-        if not measured:
-            raise DatasetError(f"no measurements at all for {test}")
-        return min(measured, key=lambda c: self.median(test, c))
-
     def tests_where(
         self,
         app: Optional[str] = None,

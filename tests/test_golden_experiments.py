@@ -22,7 +22,13 @@ import os
 
 import pytest
 
-from repro.experiments import fig1_heatmap, table2_envelope, table3_ranking
+from repro.core.portability import max_geomean_speedup
+from repro.experiments import (
+    fig1_heatmap,
+    fig2_top_opts,
+    table2_envelope,
+    table3_ranking,
+)
 from repro.study.dataset import PerfDataset
 
 GOLDEN_DATASET = "mini-dataset.json.gz"
@@ -31,6 +37,7 @@ EXPERIMENTS = {
     "table2_envelope.txt": table2_envelope.run,
     "table3_ranking.txt": table3_ranking.run,
     "fig1_heatmap.txt": fig1_heatmap.run,
+    "fig2_top_opts.txt": fig2_top_opts.run,
 }
 
 
@@ -81,3 +88,9 @@ def test_experiment_output_matches_golden(
         f"{name} drifted from its golden file; if the change is "
         f"intentional, re-bless with --update-goldens and commit"
     )
+
+
+def test_max_geomean_speedup_is_pinned(golden_dataset):
+    """Section II-B's headline number on the miniature dataset, exactly:
+    the oracle's geomean speedup over the baseline."""
+    assert max_geomean_speedup(golden_dataset) == 4.218492582271946

@@ -7,8 +7,8 @@ two ways:
 * **differential** — on Hypothesis-generated random studies, every
   fraction the harness reports is recomputed from scratch with the
   stdlib only (``statistics.median`` + ``math``, no shared helpers),
-  and the oracle is cross-checked against the dataset's own
-  ``best_config``;
+  and the oracle is cross-checked against the cell table's own
+  ``oracle``;
 * **golden** — the ``budget`` experiment's table on the committed
   miniature dataset is pinned byte-for-byte
   (``tests/goldens/budget_curve.txt``; re-bless with
@@ -35,6 +35,7 @@ from repro.core import (
     partition_fractions,
     replay_search,
 )
+from repro.core.cells import CellTable
 from repro.core.search_eval import DEFAULT_BUDGETS, _scoreable_tests
 from repro.errors import SearchError
 from repro.experiments import budget_curve
@@ -91,8 +92,9 @@ def _reference_fraction(ds: PerfDataset, test, chosen) -> float:
 @settings(max_examples=20, deadline=None)
 @given(studies(), st.sampled_from(STRATEGY_NAMES), st.integers(1, 12))
 def test_fraction_matches_stdlib_recomputation(ds, name, budget):
+    cells = CellTable(ds)
     for test in ds.tests:
-        result = replay_search(ds, test, name, budget)
+        result = replay_search(ds, cells, test, name, budget)
         assert result.fraction == pytest.approx(
             _reference_fraction(ds, test, result.chosen), rel=1e-12
         )
@@ -102,12 +104,14 @@ def test_fraction_matches_stdlib_recomputation(ds, name, budget):
 @settings(max_examples=20, deadline=None)
 @given(studies())
 def test_oracle_matches_the_datasets_own_best_config(ds):
-    """``oracle_best`` agrees with ``PerfDataset.best_config`` on the
-    median (the key may differ only on exact ties, where the oracle
+    """``oracle_best`` agrees with ``CellTable.oracle`` on the median
+    (the key may differ only on exact ties, where the search oracle
     canonically prefers the lexicographically smaller key)."""
+    configs = {c.key(): c for c in ds.configs}
+    cells = CellTable(ds)
     for test in ds.tests:
-        oracle = oracle_best(ds, test)
-        best_cfg = ds.best_config(test)
+        oracle = oracle_best(cells, test)
+        best_cfg = configs[cells.oracle(test)]
         assert oracle[1] == pytest.approx(
             ds.median(test, best_cfg), rel=1e-12
         )
@@ -129,9 +133,10 @@ def test_budget_fractions_is_the_geomean_of_replays(ds, budget):
         ds, strategies=["random"], budgets=(budget,), trials=2
     )
     logs = []
-    for test in _scoreable_tests(ds):
+    cells = CellTable(ds)
+    for test in _scoreable_tests(ds, cells):
         for trial in range(2):
-            r = replay_search(ds, test, "random", budget, trial=trial)
+            r = replay_search(ds, cells, test, "random", budget, trial=trial)
             logs.append(math.log(r.fraction))
     expected = math.exp(sum(logs) / len(logs))
     assert out["random"][budget] == pytest.approx(expected, rel=1e-12)
@@ -141,7 +146,9 @@ def test_counters_account_for_every_probe(golden_dataset):
     rec = Recorder()
     test = golden_dataset.tests[0]
     with recording(rec):
-        result = replay_search(golden_dataset, test, "random", 8)
+        result = replay_search(
+            golden_dataset, CellTable(golden_dataset), test, "random", 8
+        )
     assert rec.counter_value("search.replays") == 1
     assert rec.counter_value("search.evaluations") == result.evaluations
     assert rec.counter_value("search.holes") == 0
@@ -156,6 +163,23 @@ def test_partition_fractions_covers_every_chip(golden_dataset):
         assert 0.0 < curve[8] <= 1.0
     with pytest.raises(SearchError):
         partition_fractions(golden_dataset, "random", dims=("nope",))
+
+
+def test_curves_refuse_to_score_zero_replays(golden_dataset):
+    """Zero trials, or a dataset with no measured test, replays
+    nothing; neither curve may report that as a perfect fraction."""
+    with pytest.raises(SearchError):
+        partition_fractions(golden_dataset, "random", budgets=(8,), trials=0)
+    with pytest.raises(SearchError):
+        budget_fractions(
+            golden_dataset, strategies=["random"], budgets=(8,), trials=0
+        )
+    for curves in (
+        lambda ds: partition_fractions(ds, "random", budgets=(8,)),
+        lambda ds: budget_fractions(ds, strategies=["random"], budgets=(8,)),
+    ):
+        with pytest.raises(SearchError):
+            curves(PerfDataset())
 
 
 class TestCLI:
@@ -257,10 +281,13 @@ class TestGoldenBudgetCurve:
     def test_full_budget_equals_exhaustive_answer(self, golden_dataset):
         """B=96 is the exhaustive sweep: every strategy returns the
         Algorithm 1 oracle byte-for-byte on every test."""
+        cells = CellTable(golden_dataset)
         for test in golden_dataset.tests:
-            oracle = oracle_best(golden_dataset, test)
+            oracle = oracle_best(cells, test)
             for name in STRATEGY_NAMES:
-                result = replay_search(golden_dataset, test, name, 96)
+                result = replay_search(
+                    golden_dataset, cells, test, name, 96
+                )
                 assert result.chosen == oracle[0]
                 assert result.chosen_median == oracle[1]
                 assert result.fraction == 1.0

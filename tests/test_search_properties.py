@@ -34,6 +34,7 @@ from repro.core import (
     oracle_best,
     replay_search,
 )
+from repro.core.cells import CellTable
 from repro.core.search import _EPS, lattice_neighbours
 from repro.errors import SearchError
 from repro.study.dataset import PerfDataset, TestCase
@@ -97,6 +98,7 @@ def test_spent_never_exceeds_budget(ds, name, budget):
     rungs = make_strategy(
         "halving", ds.configs, budget=1, rng=random.Random(0), repetitions=3
     )._rungs()
+    cells = CellTable(ds)
     for test in ds.tests:
         searcher = _drive(ds, test, name, budget)
         assert searcher.spent <= budget + _EPS
@@ -107,7 +109,7 @@ def test_spent_never_exceeds_budget(ds, name, budget):
         assert len(observed) == len(set(observed))
         assert {n for _, n in observed} <= set(rungs)
         # The replay harness reports the same accounting.
-        result = replay_search(ds, test, name, budget)
+        result = replay_search(ds, cells, test, name, budget)
         assert result.spent <= budget + _EPS
         assert result.evaluations <= len(rungs) * len(ds.configs)
 
@@ -136,9 +138,10 @@ def test_best_so_far_monotone_non_increasing(ds, name, budget):
 @settings(max_examples=20, deadline=None)
 @given(studies(), st.sampled_from(STRATEGY_NAMES))
 def test_full_budget_recovers_the_oracle_exactly(ds, name):
+    cells = CellTable(ds)
     for test in ds.tests:
-        result = replay_search(ds, test, name, len(ds.configs))
-        oracle = oracle_best(ds, test)
+        result = replay_search(ds, cells, test, name, len(ds.configs))
+        oracle = oracle_best(cells, test)
         assert oracle is not None  # baseline is always measured
         assert result.chosen == oracle[0]
         assert result.chosen_median == oracle[1]
@@ -163,9 +166,14 @@ def test_replay_deterministic_under_insertion_order_shuffle(
     shuffled = PerfDataset()
     for test, config, times in cells:
         shuffled.add(test, config, times)
+    table, shuffled_table = CellTable(ds), CellTable(shuffled)
     for test in ds.tests:
-        baseline = replay_search(ds, test, name, budget, seed=7, trial=2)
-        again = replay_search(shuffled, test, name, budget, seed=7, trial=2)
+        baseline = replay_search(
+            ds, table, test, name, budget, seed=7, trial=2
+        )
+        again = replay_search(
+            shuffled, shuffled_table, test, name, budget, seed=7, trial=2
+        )
         assert again.to_dict() == baseline.to_dict()
 
 
@@ -176,8 +184,9 @@ def test_distinct_seeds_are_independent_replays(ds, budget, seed):
     propose/observe loop from scratch — same oracle, same accounting
     invariants, possibly different draws."""
     test = ds.tests[0]
-    a = replay_search(ds, test, "random", budget, seed=seed)
-    b = replay_search(ds, test, "random", budget, seed=seed + 1)
+    cells = CellTable(ds)
+    a = replay_search(ds, cells, test, "random", budget, seed=seed)
+    b = replay_search(ds, cells, test, "random", budget, seed=seed + 1)
     assert a.oracle == b.oracle
     assert a.spent <= budget + _EPS and b.spent <= budget + _EPS
 

@@ -19,6 +19,7 @@ import pytest
 from repro.experiments import (
     budget_curve,
     fig1_heatmap,
+    fig2_top_opts,
     table2_envelope,
     table3_ranking,
 )
@@ -34,6 +35,7 @@ EXPERIMENTS = {
     "table2_envelope.txt": table2_envelope.run,
     "table3_ranking.txt": table3_ranking.run,
     "fig1_heatmap.txt": fig1_heatmap.run,
+    "fig2_top_opts.txt": fig2_top_opts.run,
     "budget_curve.txt": budget_curve.run,
 }
 

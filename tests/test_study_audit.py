@@ -1,6 +1,8 @@
 """Dataset audit and quarantine (repro.study.audit)."""
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -97,6 +99,40 @@ class TestAuditVerdicts:
         present, expected = audit.dimension_coverage["chip"]["c0"]
         assert (present, expected) == (3, 4)
         assert audit.dimension_coverage["chip"]["c1"] == (4, 4)
+
+
+def _degraded_copy(ds):
+    """Every seventh cell dropped; of the rest, every eleventh gets a NaN
+    and every thirteenth loses a repetition."""
+    copy = PerfDataset()
+    for i, (test, config, times) in enumerate(ds.iter_measurements()):
+        if i % 7:
+            copy.add(test, config, times)
+    for j, (test, key) in enumerate(list(copy._times)):
+        times = copy._times[(test, key)]
+        if j % 11 == 0:
+            _poison(copy, test, key, (float("nan"),) + times[1:])
+        elif j % 13 == 0:
+            _poison(copy, test, key, times[:2])
+    return copy
+
+
+def test_audit_of_the_mini_dataset_is_pinned(goldens_dir):
+    """The audit of the committed miniature dataset, and of a holed and
+    quarantined copy of it, keeps its exact ``to_dict``."""
+    ds = PerfDataset.load(os.path.join(goldens_dir, "mini-dataset.json.gz"))
+    degraded = audit_dataset(_degraded_copy(ds), repetitions=3)
+    assert (len(degraded.missing), len(degraded.quarantined)) == (247, 238)
+    digests = [
+        hashlib.sha256(
+            json.dumps(audit.to_dict(), sort_keys=True).encode()
+        ).hexdigest()
+        for audit in (audit_dataset(ds), degraded)
+    ]
+    assert digests == [
+        "8077d96bb5c6962e45facc68a251be3e64a0c8d32e3be4ee295181af98ff389f",
+        "0185aaaf2da67c9bbc14290cb4d90ec1e0eb931d48daa3a19486ef7d1d92d6c7",
+    ]
 
 
 class TestAuditArtifact:

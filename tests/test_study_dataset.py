@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.compiler import BASELINE, OptConfig
+from repro.core.cells import CellTable
 from repro.errors import DatasetError
 from repro.faults import FaultPlan
 from repro.study import PerfDataset, TestCase
@@ -67,14 +68,9 @@ class TestQueries:
         assert not dataset.has(TestCase("a1", "g1", "C1"), OptConfig(wg=True))
 
     def test_best_config(self, dataset):
-        best = dataset.best_config(TestCase("a1", "g1", "C1"))
-        assert best == OptConfig(sg=True)
-
-    def test_best_config_restricted(self, dataset):
-        best = dataset.best_config(
-            TestCase("a1", "g1", "C1"), configs=[BASELINE, OptConfig(fg=8)]
-        )
-        assert best == BASELINE
+        """The oracle configuration is the test's lowest median."""
+        best = CellTable(dataset).oracle(TestCase("a1", "g1", "C1"))
+        assert best == OptConfig(sg=True).key()
 
     def test_tests_where(self, dataset):
         assert len(dataset.tests_where(chip="C1")) == 2
