@@ -5,9 +5,10 @@ Runs a reduced study (a few applications and chips, the full 96-way
 configuration axis) three ways over the same precollected traces:
 
 * ``scalar`` — the reference pricing path, one launch record at a time;
-* ``batch``  — the vectorized engine (whole-array NumPy ops per trace,
-  plan-keyed intermediate reuse, precomputed noise seeds);
-* ``batch --jobs N`` — the batch engine sharded over worker processes.
+* ``batch``  — the vectorized engine (each trace priced under a whole
+  chip's configuration block in one plan-axis pass of NumPy ops);
+* ``batch --jobs N`` — the batch engine with one chip block per pool
+  task of N worker processes.
 
 All must produce the *identical* dataset (exact float equality); the
 harness asserts this before reporting.

@@ -104,6 +104,9 @@ class MSTBoruvka(Application):
             "srcs": srcs,
             "dsts": dsts,
             "canon": canon,
+            # Edges cheapest first by (weight, canonical id): the
+            # tie-broken effective weight, ranked once for all rounds.
+            "by_rank": np.lexsort((canon, und.weights)),
             "component": np.arange(und.n_nodes, dtype=np.int64),
             "chosen": None,  # per-round selected edge index per component
             "mst_weight": 0.0,
@@ -126,16 +129,15 @@ class MSTBoruvka(Application):
         comp = state["component"]
         comp_s = comp[state["srcs"]]
         comp_d = comp[state["dsts"]]
-        external = np.flatnonzero(comp_s != comp_d)
+        by_rank = state["by_rank"]
+        external = by_rank[(comp_s != comp_d)[by_rank]]  # cheapest first
         state["round_active_edges"] = int(external.size)
         if external.size == 0:
             state["chosen"] = np.empty(0, dtype=np.int64)
             return StepResult(active_items=und.n_edges, edges=und.n_edges)
-        # Tie-break by canonical edge id so effective weights are unique.
-        order = np.lexsort(
-            (state["canon"][external], und.weights[external], comp_s[external])
-        )
-        ordered = external[order]
+        # A stable sort by component keeps each component's edges in
+        # rank order, so its first edge is its cheapest.
+        ordered = external[np.argsort(comp_s[external], kind="stable")]
         first = np.ones(ordered.size, dtype=bool)
         first[1:] = comp_s[ordered[1:]] != comp_s[ordered[:-1]]
         state["chosen"] = ordered[first]
@@ -144,7 +146,7 @@ class MSTBoruvka(Application):
             expanded_items=und.n_edges,
             edges=und.n_edges,
             uncontended_rmws=int(external.size),
-            irregularity=access_irregularity(comp[state["dsts"]]),
+            irregularity=access_irregularity(comp_d),
             more_work=True,
         )
 

@@ -10,6 +10,7 @@ discover a safe global-barrier occupancy).
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from typing import Dict, Tuple
 
@@ -26,6 +27,24 @@ from .plan import ExecutablePlan, KernelPlan
 
 __all__ = ["PlanCache", "compile_cached", "compile_program", "plan_cache"]
 
+#: Programs that passed validation, by identity.  A ``Program`` is
+#: frozen, so one that validated once stays valid; the weak reference
+#: confirms the id still names that program and drops the entry with it.
+_VALIDATED: Dict[int, "weakref.ref[Program]"] = {}
+
+
+def _validate_once(program: Program) -> None:
+    """:func:`validate_program`, skipped for a program already validated.
+
+    Only success is remembered: an invalid program raises every time.
+    """
+    key = id(program)
+    ref = _VALIDATED.get(key)
+    if ref is not None and ref() is program:
+        return
+    validate_program(program)
+    _VALIDATED[key] = weakref.ref(program, lambda _: _VALIDATED.pop(key, None))
+
 
 def compile_program(
     program: Program, chip: ChipModel, config: OptConfig
@@ -37,7 +56,7 @@ def compile_program(
     :class:`~repro.errors.ForwardProgressError` when ``oitergb`` cannot
     construct a safe global barrier.
     """
-    validate_program(program)
+    _validate_once(program)
 
     kernels: Dict[str, KernelPlan] = {}
     for kernel in program.kernels:

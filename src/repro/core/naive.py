@@ -21,8 +21,9 @@ from typing import Dict, List, Optional, Sequence
 
 from ..compiler.options import BASELINE, OptConfig
 from ..study.dataset import PerfDataset, TestCase
-from .significance import classify_outcome
-from .stats.summary import geomean, median
+from .cells import CellTable
+from .significance import summary_outcome
+from .stats.summary import geomean
 
 __all__ = [
     "ConfigRanking",
@@ -51,19 +52,22 @@ class ConfigRanking:
 
 
 def _outcomes(
-    dataset: PerfDataset, config: OptConfig, tests: Sequence[TestCase]
+    cells: CellTable, config: OptConfig, tests: Sequence[TestCase]
 ) -> ConfigRanking:
+    """One configuration's record over ``tests``, read from ``cells``."""
     slow = fast = 0
     ratios: List[float] = []
     best = 1.0
     worst = 1.0
+    base_key, key = BASELINE.key(), config.key()
     for test in tests:
-        base_times = dataset.times_or_none(test, BASELINE)
-        times = dataset.times_or_none(test, config)
-        if base_times is None or times is None:
+        row = cells.row(test)
+        base = row.get(base_key)
+        cell = row.get(key)
+        if base is None or cell is None:
             continue
-        outcome = classify_outcome(base_times, times)
-        speedup = median(base_times) / median(times)
+        outcome = summary_outcome(base, cell)
+        speedup = base.median / cell.median
         ratios.append(speedup)
         if outcome == "slowdown":
             slow += 1
@@ -94,7 +98,8 @@ def rank_configurations(
     tests = list(tests) if tests is not None else dataset.tests
     if configs is None:
         configs = [c for c in dataset.configs if not c.is_baseline]
-    rankings = [_outcomes(dataset, c, tests) for c in configs]
+    cells = CellTable(dataset)
+    rankings = [_outcomes(cells, c, tests) for c in configs]
     rankings.sort(
         key=lambda r: (r.slowdowns, -r.speedups, -r.geomean_speedup, r.label)
     )
@@ -136,7 +141,8 @@ def per_chip_breakdown(
     global geomean can systematically harm the chips that are least
     sensitive to optimisation.
     """
+    cells = CellTable(dataset)
     return {
-        chip: _outcomes(dataset, config, dataset.tests_where(chip=chip))
+        chip: _outcomes(cells, config, dataset.tests_where(chip=chip))
         for chip in dataset.chips
     }

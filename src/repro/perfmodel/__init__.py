@@ -6,15 +6,18 @@ load imbalance (:mod:`.imbalance`), memory divergence
 combining (:mod:`.atomics`), host-side overheads and the portable
 global barrier (:mod:`.launch`), per-launch composition (:mod:`.cost`)
 and the deterministic noise model (:mod:`.noise`).  The vectorized
-batch engine (:mod:`.batch`) prices all launches of a trace at once,
-bit-identical to the scalar path.
+batch engine (:mod:`.batch`) prices all launches of a trace under a
+block of one chip's plans at once, bit-identical to the scalar path.
 """
 
 from .atomics import achieved_combine_factor, atomic_time_us
 from .batch import (
     BatchLaunchCosts,
     estimate_runtime_us_batch,
+    estimate_runtimes_us_batch,
+    measure_plans_us_batch,
     measure_repeats_us_batch,
+    price_plans_batch,
     price_trace_batch,
 )
 from .cost import LaunchCost, kernel_time_us, launch_cost
@@ -41,7 +44,10 @@ __all__ = [
     "atomic_time_us",
     "BatchLaunchCosts",
     "estimate_runtime_us_batch",
+    "estimate_runtimes_us_batch",
+    "measure_plans_us_batch",
     "measure_repeats_us_batch",
+    "price_plans_batch",
     "price_trace_batch",
     "LaunchCost",
     "kernel_time_us",

@@ -13,9 +13,10 @@ All noise is deterministic given (chip, program, graph, configuration,
 repetition): re-running the study bit-reproduces the dataset.  The
 seed of one measurement is ``stable_hash`` of that tuple; for batch
 sweeps the (chip, program, graph) prefix of the FNV-1a stream is
-hashed once (:func:`measurement_prefix`) and every (configuration,
-repetition) seed is derived from it (:func:`measurement_seeds`) —
-identical seeds, without re-hashing the prefix per call.
+hashed once (:func:`measurement_prefix`), each configuration is folded
+into it once, and every repetition seed is derived from that
+(:func:`measurement_seeds`) — identical seeds, without re-hashing the
+prefix or the configuration key per seed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..chips.model import ChipModel
-from ..util import fnv1a_extend, fnv1a_state, stable_hash
+from ..util import fnv1a_extend, fnv1a_fold, fnv1a_state, stable_hash
 
 __all__ = [
     "measurement_prefix",
@@ -65,11 +66,13 @@ def measurement_seeds(
     Identical to ``[stable_hash(chip.short_name, program, graph,
     config_key, rep) for rep in range(repetitions)]``, but the shared
     prefix is hashed once (or passed in precomputed from
-    :func:`measurement_prefix`).
+    :func:`measurement_prefix`), ``config_key`` is folded in once, and
+    each seed extends that state by its repetition only.
     """
     if prefix is None:
         prefix = measurement_prefix(chip, program, graph)
-    return [fnv1a_extend(prefix, config_key, rep) for rep in range(repetitions)]
+    point = fnv1a_fold(prefix, config_key)
+    return [fnv1a_extend(point, rep) for rep in range(repetitions)]
 
 
 def noise_from_seed(true_us: float, chip: ChipModel, seed: int) -> float:

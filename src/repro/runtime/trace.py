@@ -19,34 +19,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["LaunchRecord", "MemoStats", "Trace", "TraceArrays", "TraceGroup", "memo_stats"]
-
-
-class MemoStats:
-    """Process-wide hit/miss tally of the batch engine's plan-keyed memo.
-
-    Plain attribute increments keep the memo's hot path free of any
-    recorder indirection; the study runner reads (and differences) the
-    tally around each shard to surface ``perfmodel.memo.*`` counters in
-    its :class:`~repro.obs.report.RunReport`.  Note that *hit* rates
-    depend on which shards a worker process happens to price (memo
-    entries persist across shards within a process), so only the
-    hit+miss lookup total is placement-independent.
-    """
-
-    __slots__ = ("hits", "misses")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-
-#: Tally incremented by every :meth:`TraceGroup.memo` lookup.
-memo_stats = MemoStats()
+__all__ = ["LaunchRecord", "Trace", "TraceArrays", "TraceGroup"]
 
 
 @dataclass(frozen=True)
@@ -187,35 +160,9 @@ class TraceGroup:
     in_fixpoint: np.ndarray  # bool
     deg_hist: np.ndarray  # float64, shape (n, width), C-contiguous
 
-    #: Memo for plan-keyed intermediate cost arrays.  Many of the 96
-    #: study configurations share cost-structure facts (same schemes,
-    #: same workgroup size, …); pricing caches those intermediates here
-    #: keyed by the facts they depend on, so they are computed once per
-    #: distinct key and reused bit-identically.  Not part of equality
-    #: or serialisation.
-    _cache: Dict = field(default_factory=dict, repr=False, compare=False)
-
     @property
     def n(self) -> int:
         return int(self.indices.size)
-
-    def memo(self, key, builder):
-        """Return the cached value for ``key``, building it on miss."""
-        value = self._cache.get(key)
-        if value is None:
-            memo_stats.misses += 1
-            value = builder()
-            self._cache[key] = value
-        else:
-            memo_stats.hits += 1
-        return value
-
-    def __getstate__(self):
-        # Drop the memo when pickling (e.g. shipping traces to sweep
-        # workers): entries are plan-derived and cheap to rebuild.
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
 
 
 @dataclass(frozen=True)

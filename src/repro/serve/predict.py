@@ -15,14 +15,17 @@ pricing.  A small default ``scale`` keeps that first-request cost at
 interactive latency.
 
 The predictor serialises predictions behind one lock: the compile
-cache and batch memoiser are process-global and not thread-safe, and
+cache and the predictor's own memos are not thread-safe, and
 the server prices in a worker thread off the event loop, so the lock
 makes concurrent ``/v1/predict`` requests queue rather than corrupt
 shared state.  :meth:`Predictor.price_many` amortises that lock — and
 the executor round-trip that precedes it — over a whole coalesced
 micro-batch (see :class:`~repro.serve.server.PredictCoalescer`): one
-locked vectorized pass prices every item, and each item's numbers are
-exactly what :meth:`Predictor.price` would have returned alone.
+locked pass prices every item — one plan-axis batch per (chip,
+application, input) for the points not priced before — and each
+item's numbers are exactly what :meth:`Predictor.price` would have
+returned alone.  Each point's true runtime is memoised, so a repeated
+point costs only its seeded noise draws.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from ..compiler.options import OptConfig
 from ..compiler.pipeline import compile_cached
 from ..errors import ChipError, InvalidConfigError, PredictionError
 from ..graphs.inputs import study_inputs
-from ..perfmodel.batch import estimate_runtime_us_batch, measure_repeats_us_batch
+from ..perfmodel.batch import estimate_runtimes_us_batch, measure_repeats_us_batch
 from ..perfmodel.noise import measurement_prefix, measurement_seeds
 
 __all__ = ["Predictor"]
@@ -64,6 +67,9 @@ class Predictor:
         self._programs: Dict[str, object] = {}
         self._traces: Dict[Tuple[str, str], object] = {}
         self._prefixes: Dict[tuple, int] = {}
+        #: True runtime of every point priced so far, keyed by
+        #: (chip, application, input, configuration key).
+        self._true_us: Dict[tuple, float] = {}
 
     @property
     def app_names(self):
@@ -117,7 +123,12 @@ class Predictor:
         and the trace's launch count.
         """
         with self._lock:
-            return self._price_locked(chip_name, app_name, input_name, config)
+            [result] = self._price_locked(
+                [(chip_name, app_name, input_name, config)]
+            )
+        if isinstance(result, PredictionError):
+            raise result
+        return result
 
     def price_many(
         self,
@@ -132,44 +143,66 @@ class Predictor:
         :class:`~repro.errors.PredictionError` that point raised.
         Errors are *values* here: one bad item never aborts the batch.
         """
-        results: List[Union[dict, PredictionError]] = []
         with self._lock:
-            for chip_name, app_name, input_name, config in points:
-                try:
-                    results.append(
-                        self._price_locked(
-                            chip_name, app_name, input_name, config
-                        )
-                    )
-                except PredictionError as exc:
-                    results.append(exc)
-        return results
+            return self._price_locked(points)
 
-    def _price_locked(
-        self,
-        chip_name: str,
-        app_name: str,
-        input_name: str,
-        config: OptConfig,
-    ) -> dict:
-        """One point, caller holds ``self._lock``."""
+    def _resolve(
+        self, chip_name: str, app_name: str, input_name: str, config: OptConfig
+    ):
+        """A point's chip, trace, compiled plan and memo key."""
         try:
             chip = get_chip(chip_name)
         except ChipError as exc:
             raise PredictionError(str(exc)) from exc
         trace = self._trace(app_name, input_name)
         plan = compile_cached(self._programs[app_name], chip, config)
+        key = (chip.short_name, app_name, input_name, config.key())
+        return chip, trace, plan, key
+
+    def _price_locked(
+        self, points: Sequence[Tuple[str, str, str, OptConfig]]
+    ) -> List[Union[dict, PredictionError]]:
+        """Price ``points``; the caller holds ``self._lock``.
+
+        Points whose true runtime is not memoised yet are priced with
+        one plan-axis pass per (chip, application, input).
+        """
+        resolved: List = []
+        for point in points:
+            try:
+                resolved.append(self._resolve(*point))
+            except PredictionError as exc:
+                resolved.append(exc)
+        blocks: Dict[tuple, tuple] = {}
+        for item in resolved:
+            if isinstance(item, PredictionError) or item[3] in self._true_us:
+                continue
+            _, trace, plan, key = item
+            block = blocks.setdefault(key[:3], (trace, {}))
+            block[1][key] = plan
+        for trace, plans in blocks.values():
+            priced = estimate_runtimes_us_batch(
+                list(plans.values()), trace.arrays()
+            )
+            self._true_us.update(zip(plans, priced))
+        return [
+            item if isinstance(item, PredictionError) else self._answer(*item)
+            for item in resolved
+        ]
+
+    def _answer(self, chip, trace, plan, key) -> dict:
+        """The response dict of one point whose true runtime is memoised."""
         pkey = (chip.short_name, trace.program, trace.graph)
         prefix = self._prefixes.get(pkey)
         if prefix is None:
             prefix = measurement_prefix(chip, trace.program, trace.graph)
             self._prefixes[pkey] = prefix
-        true_us = estimate_runtime_us_batch(plan, trace.arrays())
+        true_us = self._true_us[key]
         seeds = measurement_seeds(
-            plan.chip,
+            chip,
             trace.program,
             trace.graph,
-            plan.config.key(),
+            key[3],
             self.repetitions,
             prefix=prefix,
         )
@@ -178,9 +211,9 @@ class Predictor:
         )
         return {
             "chip": chip.short_name,
-            "app": app_name,
-            "input": input_name,
-            "config": config.key(),
+            "app": key[1],
+            "input": key[2],
+            "config": key[3],
             "predicted_us": float(true_us),
             "times_us": [float(t) for t in times],
             "repetitions": self.repetitions,

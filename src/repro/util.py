@@ -13,6 +13,7 @@ __all__ = [
     "atomic_write_text",
     "expand_segments",
     "fnv1a_extend",
+    "fnv1a_fold",
     "fnv1a_state",
     "geomean",
     "sha256_hex",
@@ -106,16 +107,25 @@ def fnv1a_state(*parts: object) -> int:
     return h
 
 
+def fnv1a_fold(state: int, *parts: object) -> int:
+    """Raw FNV-1a state after extending a prefix state with more parts.
+
+    ``fnv1a_fold(fnv1a_state(*a), *b) == fnv1a_state(*a, *b)`` for any
+    non-empty ``a`` and ``b``, so a state can be extended in steps.
+    """
+    h = state
+    for ch in ("\x1f" + "\x1f".join(str(p) for p in parts)).encode("utf-8"):
+        h = ((h ^ ch) * _FNV_PRIME) & _MASK64
+    return h
+
+
 def fnv1a_extend(state: int, *parts: object) -> int:
     """Finish a :func:`fnv1a_state` prefix with more parts.
 
     ``fnv1a_extend(fnv1a_state(*a), *b) == stable_hash(*a, *b)`` for
     any non-empty ``a`` and ``b``.
     """
-    h = state
-    for ch in ("\x1f" + "\x1f".join(str(p) for p in parts)).encode("utf-8"):
-        h = ((h ^ ch) * _FNV_PRIME) & _MASK64
-    return h & _MASK63
+    return fnv1a_fold(state, *parts) & _MASK63
 
 
 def stable_hash(*parts: object) -> int:

@@ -35,6 +35,30 @@ class TestCompileAllCombinations:
             plan.kernel_plan("missing")
 
 
+class TestValidationOnce:
+    def test_valid_program_is_validated_once(self, worklist_program, monkeypatch):
+        from repro.compiler import pipeline
+
+        calls = []
+        real = pipeline.validate_program
+        monkeypatch.setattr(
+            pipeline, "validate_program", lambda p: calls.append(p) or real(p)
+        )
+        for config in enumerate_configs()[:4]:
+            compile_program(worklist_program, get_chip("R9"), config)
+            compile_program(worklist_program, get_chip("MALI"), config)
+        assert calls == [worklist_program]
+
+    def test_invalid_program_raises_on_every_compile(self):
+        from repro.dsl import Invoke, Program
+        from repro.errors import DSLError
+
+        bad = Program("bad", [relax_kernel("k", "x")], [Invoke("missing")])
+        for chip_name in ("R9", "R9", "MALI"):
+            with pytest.raises(DSLError):
+                compile_program(bad, get_chip(chip_name), OptConfig())
+
+
 class TestOutlining:
     def test_outlines_fixpoint(self, worklist_program):
         plan = compile_program(

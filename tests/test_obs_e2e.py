@@ -62,10 +62,10 @@ class TestMetricsE2E:
         assert report.meta["engine"] == "batch"
         assert report.meta["jobs"] == 2
         # Worker spans crossed the process boundary into the artifact.
-        shard_spans = [
-            s for s in report.spans if s["name"] == "study.price_shard"
+        block_spans = [
+            s for s in report.spans if s["name"] == "study.price_block"
         ]
-        assert len(shard_spans) == GRID
+        assert sum(s["attrs"]["shards"] for s in block_spans) == GRID
         # Tracing skips (weighted apps on unweighted graphs) are
         # accounted for: collected + skipped covers the app x input grid.
         assert (

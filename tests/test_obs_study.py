@@ -24,7 +24,6 @@ from repro.compiler.pipeline import plan_cache
 from repro.faults import FaultPlan
 from repro.graphs.inputs import StudyInput
 from repro.graphs import rmat_graph
-from repro.runtime import trace as trace_mod
 from repro.study.checkpoint import StudyCheckpoint
 from repro.study.runner import collect_traces
 
@@ -65,7 +64,6 @@ def _fresh_process_caches():
     """Clear the process-global caches so each run's cache-delta
     counters start from a clean slate (mirrors bench_study)."""
     plan_cache.clear()
-    trace_mod.memo_stats.reset()
     yield
 
 
@@ -87,10 +85,13 @@ def test_fresh_serial_run_reconciles(small_config, small_traces):
     _reconciles(rec, small_config)
     assert rec.counter_value("study.shards.priced") == _grid_size(small_config)
     assert rec.counter_value("study.shards.skipped_checkpoint") == 0
-    # One span per shard, attributed to its chip.
-    shard_spans = [s for s in rec.spans if s.name == "study.price_shard"]
-    assert len(shard_spans) == _grid_size(small_config)
-    chips = {s.attrs["chip"] for s in shard_spans}
+    # One span per block (one chip's shards), whose shards cover the grid.
+    block_spans = [s for s in rec.spans if s.name == "study.price_block"]
+    assert len(block_spans) == len(small_config.chips)
+    assert sum(s.attrs["shards"] for s in block_spans) == _grid_size(
+        small_config
+    )
+    chips = {s.attrs["chip"] for s in block_spans}
     assert chips == {c.short_name for c in small_config.chips}
     # The pricing compiles each (chip, config) plan once, then hits.
     misses = rec.counter_value("compiler.plan_cache.misses")
@@ -104,7 +105,6 @@ def test_parallel_totals_match_serial(small_config, small_traces):
     ds1 = run_study(small_config, traces=small_traces, jobs=1, recorder=serial)
 
     plan_cache.clear()
-    trace_mod.memo_stats.reset()
     parallel = Recorder(clock=lambda: 0.0)
     ds2 = run_study(
         small_config, traces=small_traces, jobs=2, recorder=parallel
@@ -122,17 +122,19 @@ def test_parallel_totals_match_serial(small_config, small_traces):
     # Cache hit/miss *splits* depend on process placement (workers may
     # inherit warm caches under fork), but every lookup happens exactly
     # once per shard regardless, so the totals are placement-independent.
-    for prefix in ("compiler.plan_cache", "perfmodel.memo"):
-        assert (
-            parallel.counter_value(f"{prefix}.hits")
-            + parallel.counter_value(f"{prefix}.misses")
-        ) == (
-            serial.counter_value(f"{prefix}.hits")
-            + serial.counter_value(f"{prefix}.misses")
-        ), prefix
+    prefix = "compiler.plan_cache"
+    assert (
+        parallel.counter_value(f"{prefix}.hits")
+        + parallel.counter_value(f"{prefix}.misses")
+    ) == (
+        serial.counter_value(f"{prefix}.hits")
+        + serial.counter_value(f"{prefix}.misses")
+    ), prefix
     # Worker spans survive the process boundary into the merged report.
-    shard_spans = [s for s in parallel.spans if s.name == "study.price_shard"]
-    assert len(shard_spans) == _grid_size(small_config)
+    block_spans = [s for s in parallel.spans if s.name == "study.price_block"]
+    assert sum(s.attrs["shards"] for s in block_spans) == _grid_size(
+        small_config
+    )
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -166,7 +168,6 @@ def test_interrupted_then_resumed_run_reconciles(
     )
 
     plan_cache.clear()
-    trace_mod.memo_stats.reset()
     second = Recorder(clock=lambda: 0.0)
     run_study(
         small_config,

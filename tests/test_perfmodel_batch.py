@@ -21,17 +21,20 @@ from repro.graphs import rmat_graph, road_network
 from repro.perfmodel import (
     estimate_runtime_us,
     estimate_runtime_us_batch,
+    estimate_runtimes_us_batch,
     launch_cost,
     measure_repeats_us,
+    measure_plans_us_batch,
     measure_repeats_us_batch,
     measurement_prefix,
     measurement_seeds,
     noise_from_seed,
     noisy_measurement_us,
+    price_plans_batch,
     price_trace_batch,
 )
-from repro.runtime.trace import TraceArrays
-from repro.util import fnv1a_extend, fnv1a_state, stable_hash
+from repro.runtime.trace import LaunchRecord, Trace
+from repro.util import fnv1a_extend, fnv1a_fold, fnv1a_state, stable_hash
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +94,11 @@ class TestSeedScheme:
             fnv1a_extend(fnv1a_state("a", "b"), "c", 2)
             == stable_hash("a", "b", "c", 2)
         )
+
+    def test_stepwise_fold_equals_stable_hash(self):
+        point = fnv1a_fold(fnv1a_state("a", "b"), "c")
+        assert point == fnv1a_state("a", "b", "c")
+        assert fnv1a_extend(point, 2) == stable_hash("a", "b", "c", 2)
 
     def test_measurement_seeds_match_scalar_hash(self):
         chip = get_chip("MALI")
@@ -183,25 +191,120 @@ class TestGoldenEquivalence:
         ) == measure_repeats_us(plan, trace, 3)
 
 
-class TestGroupMemo:
-    def test_memo_reuses_intermediates(self, traced_runs):
-        _, trace = traced_runs[0]
-        arrays = TraceArrays.from_trace(trace)
-        group = arrays.groups[0]
-        calls = []
-        a = group.memo("k", lambda: calls.append(1) or np.ones(3))
-        b = group.memo("k", lambda: calls.append(1) or np.ones(3))
-        assert a is b and calls == [1]
+class TestPlanAxis:
+    """One pass over many plans equals one pass per plan."""
 
-    def test_memo_dropped_on_pickle(self, traced_runs):
-        import pickle
+    def test_rows_equal_single_plan_passes(self, traced_runs):
+        for app, trace in traced_runs[:3]:
+            program = app.program()
+            plans = [
+                compile_program(program, get_chip("IRIS"), cfg)
+                for cfg in enumerate_configs()[::11]
+            ]
+            block = price_plans_batch(plans, trace.arrays())
+            assert block.total_us.shape == (len(plans), trace.n_launches)
+            for i, plan in enumerate(plans):
+                one = price_trace_batch(plan, trace.arrays())
+                for name in ("scan_us", "edge_us", "barrier_us", "local_us",
+                             "atomic_us", "total_us"):
+                    assert np.array_equal(
+                        getattr(block, name)[i], getattr(one, name)
+                    ), name
 
+    def test_block_measurements_equal_scalar(self, traced_runs):
+        app, trace = traced_runs[1]
+        program = app.program()
+        plans = [
+            compile_program(program, get_chip("MALI"), cfg)
+            for cfg in enumerate_configs()[::13]
+        ]
+        assert measure_plans_us_batch(plans, trace, 3) == [
+            measure_repeats_us(plan, trace, 3) for plan in plans
+        ]
+
+    def test_plans_must_share_a_chip(self, traced_runs):
+        app, trace = traced_runs[0]
+        program = app.program()
+        cfg = enumerate_configs()[0]
+        plans = [
+            compile_program(program, get_chip("R9"), cfg),
+            compile_program(program, get_chip("MALI"), cfg),
+        ]
+        with pytest.raises(ValueError, match="share a chip"):
+            estimate_runtimes_us_batch(plans, trace.arrays())
+
+    def test_no_plans_prices_nothing(self, traced_runs):
         _, trace = traced_runs[0]
-        group = TraceArrays.from_trace(trace).groups[0]
-        group.memo("k", lambda: np.ones(3))
-        clone = pickle.loads(pickle.dumps(group))
-        assert clone._cache == {}
-        assert np.array_equal(clone.edges, group.edges)
+        assert estimate_runtimes_us_batch([], trace.arrays()) == []
+
+
+_PLAN_APPS = ("bfs-wl", "pr-topo", "sssp-nf")
+_CHIP_BLOCKS: dict = {}
+
+
+def _chip_block(app_name: str, chip_name: str):
+    """The 96 compiled plans of one (application, chip) block, cached."""
+    key = (app_name, chip_name)
+    if key not in _CHIP_BLOCKS:
+        program = get_application(app_name).program()
+        chip = get_chip(chip_name)
+        _CHIP_BLOCKS[key] = [
+            compile_program(program, chip, cfg) for cfg in enumerate_configs()
+        ]
+    return _CHIP_BLOCKS[key]
+
+
+@st.composite
+def random_traces(draw) -> Trace:
+    """A random trace of one study program: any mix of launch shapes."""
+    program = get_application(draw(st.sampled_from(_PLAN_APPS))).program()
+    kernels = [k.name for k in program.kernels]
+    trace = Trace(program=program.name, graph="fuzzed")
+    counts = st.integers(min_value=0, max_value=60)
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        hist = tuple(draw(st.lists(counts, max_size=18)))
+        expanded = sum(hist)
+        in_fixpoint = draw(st.booleans())
+        trace.add(
+            LaunchRecord(
+                kernel=draw(st.sampled_from(kernels)),
+                iteration=draw(st.integers(0, 4)) if in_fixpoint else -1,
+                in_fixpoint=in_fixpoint,
+                active_items=expanded + draw(counts),
+                expanded_items=expanded,
+                edges=draw(st.integers(min_value=0, max_value=3000)),
+                deg_hist=hist,
+                pushes=draw(counts),
+                contended_rmws=draw(st.integers(min_value=0, max_value=3)),
+                uncontended_rmws=draw(counts),
+                irregularity=draw(st.sampled_from((0.0, 0.3, 1.0))),
+            )
+        )
+    return trace
+
+
+class TestChipBlockFuzz:
+    """A chip's full 96-configuration block in one pass, against the oracle."""
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(trace=random_traces())
+    def test_block_equals_scalar_estimates(self, trace):
+        for chip_name in TestGoldenEquivalence.CHIPS:
+            plans = _chip_block(trace.program, chip_name)
+            assert any(plan.outlined for plan in plans)
+            assert any(plan.config.fg is not None for plan in plans)
+            assert estimate_runtimes_us_batch(plans, trace.arrays()) == [
+                estimate_runtime_us(plan, trace) for plan in plans
+            ]
+
+    def test_blocks_cover_a_chip_without_subgroups(self):
+        assert any(
+            get_chip(name).sg_size == 1 for name in TestGoldenEquivalence.CHIPS
+        )
 
 
 # -- differential fuzzing ----------------------------------------------------
