@@ -80,7 +80,7 @@ def _reduced_config(scope: str) -> StudyConfig:
 
 
 _LOAD_SNIPPET = """\
-import json, resource, sys, time
+import json, sys, time
 from repro.study.dataset import PerfDataset
 path = sys.argv[1]
 started = time.perf_counter()
@@ -88,11 +88,13 @@ ds = PerfDataset.load(path)
 n = ds.n_measurements
 fraction = ds.coverage().fraction
 elapsed = time.perf_counter() - started
+with open("/proc/self/status") as status:
+    hwm = next(line for line in status if line.startswith("VmHWM:"))
 print(json.dumps({
     "load_seconds": elapsed,
     "n_measurements": n,
     "coverage_fraction": fraction,
-    "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "max_rss_kb": int(hwm.split()[1]),
 }))
 """
 
@@ -101,8 +103,11 @@ def _measure_load(path: str) -> dict:
     """Load ``path`` in a fresh interpreter; time + peak RSS.
 
     A subprocess isolates the measurement from this process's already-
-    allocated heap, so ``ru_maxrss`` reflects what the load itself
-    costs — the number that distinguishes an mmap from a full parse.
+    allocated heap.  Its peak RSS is Linux's ``VmHWM``, which belongs
+    to the address space and starts over at ``exec``; ``ru_maxrss``
+    would carry the forked bench process's high-water mark into the
+    child.  So the number is what the load itself costs — the number
+    that distinguishes an mmap from a full parse.
     """
     proc = subprocess.run(
         [sys.executable, "-c", _LOAD_SNIPPET, path],

@@ -31,11 +31,13 @@ from .imbalance import (
 )
 from .launch import global_barrier_us, host_overhead_us
 from .noise import (
+    block_seeds,
     measurement_prefix,
-    measurement_rng,
     measurement_seeds,
     noise_from_seed,
+    noise_from_seeds,
     noisy_measurement_us,
+    pcg64_states,
 )
 from .simulate import estimate_runtime_us, measure_repeats_us, measure_us
 
@@ -61,11 +63,13 @@ __all__ = [
     "partition_work",
     "global_barrier_us",
     "host_overhead_us",
+    "block_seeds",
     "measurement_prefix",
-    "measurement_rng",
     "measurement_seeds",
     "noise_from_seed",
+    "noise_from_seeds",
     "noisy_measurement_us",
+    "pcg64_states",
     "estimate_runtime_us",
     "measure_repeats_us",
     "measure_us",

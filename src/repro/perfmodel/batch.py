@@ -57,7 +57,12 @@ from .cost import (
 from .divergence import workgroup_pressure
 from .imbalance import bucket_degree
 from .launch import _FIXED_COPIES, global_barrier_us
-from .noise import measurement_prefix, measurement_seeds, noise_from_seed
+from .noise import (
+    block_seeds,
+    measurement_seeds,
+    noise_from_seed,
+    noise_from_seeds,
+)
 
 __all__ = [
     "BatchLaunchCosts",
@@ -512,8 +517,10 @@ def measure_plans_us_batch(
 ) -> List[List[float]]:
     """:func:`~repro.perfmodel.simulate.measure_repeats_us` of each plan.
 
-    One pricing pass for the whole sequence; each plan's noise is drawn
-    by :func:`measure_repeats_us_batch` from its estimate.
+    One pricing pass for the whole sequence, then one array pass for
+    every plan's repetition seeds
+    (:func:`~repro.perfmodel.noise.block_seeds`) and one for their
+    draws (:func:`~repro.perfmodel.noise.noise_from_seeds`).
     """
     if repetitions < 1:
         raise ValueError("at least one repetition is required")
@@ -522,24 +529,17 @@ def measure_plans_us_batch(
     if not plans:
         return []
     chip = plans[0].chip
-    prefix = measurement_prefix(chip, arrays.program, arrays.graph)
-    return [
-        measure_repeats_us_batch(
-            plan,
-            arrays,
-            repetitions,
-            true_us=us,
-            seeds=measurement_seeds(
-                chip,
-                arrays.program,
-                arrays.graph,
-                plan.config.key(),
-                repetitions,
-                prefix=prefix,
-            ),
-        )
-        for plan, us in zip(plans, true_us)
-    ]
+    seeds = block_seeds(
+        chip,
+        arrays.program,
+        arrays.graph,
+        [plan.config.key() for plan in plans],
+        repetitions,
+    )
+    times = noise_from_seeds(
+        np.repeat(true_us, repetitions), chip, seeds.ravel()
+    )
+    return times.reshape(len(plans), repetitions).tolist()
 
 
 def measure_repeats_us_batch(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -13,7 +13,9 @@ __all__ = [
     "atomic_write_text",
     "expand_segments",
     "fnv1a_extend",
+    "fnv1a_extend_array",
     "fnv1a_fold",
+    "fnv1a_fold_array",
     "fnv1a_state",
     "geomean",
     "sha256_hex",
@@ -126,6 +128,47 @@ def fnv1a_extend(state: int, *parts: object) -> int:
     any non-empty ``a`` and ``b``.
     """
     return fnv1a_fold(state, *parts) & _MASK63
+
+
+def fnv1a_fold_array(
+    states: np.ndarray, parts: Sequence[object]
+) -> np.ndarray:
+    """``fnv1a_fold(states[i], parts[i])`` for every ``i``, as ``uint64``.
+
+    The parts' bytes are padded into one matrix and folded a byte
+    column at a time over all rows; a row whose part has ended keeps
+    its state.  ``uint64`` products wrap, which is the scalar path's
+    ``& _MASK64``.
+    """
+    encoded = [("\x1f" + str(p)).encode("utf-8") for p in parts]
+    lengths = np.array([len(b) for b in encoded], dtype=np.int64)
+    width = int(lengths.max(initial=0))
+    padded = np.frombuffer(
+        b"".join(b.ljust(width, b"\0") for b in encoded), dtype=np.uint8
+    ).reshape(len(encoded), width)
+    columns = padded.T.astype(np.uint64)
+    live = lengths > np.arange(width)[:, None]
+    h = np.array(states, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    with np.errstate(over="ignore"):
+        for column, mask in zip(columns, live):
+            np.copyto(h, (h ^ column) * prime, where=mask)
+    return h
+
+
+def fnv1a_extend_array(states: np.ndarray, *parts: object) -> np.ndarray:
+    """``fnv1a_extend(state, *parts)`` of every state, as ``uint64``.
+
+    The same parts finish every state, so their bytes fold into the
+    whole array one at a time.
+    """
+    h = np.array(states, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    with np.errstate(over="ignore"):
+        suffix = "\x1f" + "\x1f".join(str(p) for p in parts)
+        for ch in suffix.encode("utf-8"):
+            h = (h ^ np.uint64(ch)) * prime
+    return h & np.uint64(_MASK63)
 
 
 def stable_hash(*parts: object) -> int:

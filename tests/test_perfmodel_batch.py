@@ -14,11 +14,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import get_application
-from repro.chips import get_chip
+from repro.chips import all_chips, get_chip
 from repro.compiler import compile_program, enumerate_configs
 from repro.errors import ExecutionError
 from repro.graphs import rmat_graph, road_network
 from repro.perfmodel import (
+    block_seeds,
     estimate_runtime_us,
     estimate_runtime_us_batch,
     estimate_runtimes_us_batch,
@@ -29,12 +30,21 @@ from repro.perfmodel import (
     measurement_prefix,
     measurement_seeds,
     noise_from_seed,
+    noise_from_seeds,
     noisy_measurement_us,
+    pcg64_states,
     price_plans_batch,
     price_trace_batch,
 )
 from repro.runtime.trace import LaunchRecord, Trace
-from repro.util import fnv1a_extend, fnv1a_fold, fnv1a_state, stable_hash
+from repro.util import (
+    fnv1a_extend,
+    fnv1a_extend_array,
+    fnv1a_fold,
+    fnv1a_fold_array,
+    fnv1a_state,
+    stable_hash,
+)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +127,84 @@ class TestSeedScheme:
         assert noise_from_seed(123.5, chip, seed) == noisy_measurement_us(
             123.5, chip, "p", "g", "baseline", 1
         )
+
+
+#: Seeds at the edges of the one- and two-word SeedSequence entropy.
+_BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+_SEEDS = st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=40)
+
+
+def _u64(seeds):
+    return np.array(seeds, dtype=np.uint64)
+
+
+class TestArrayNoise:
+    """The array noise path against numpy's own seeding and the scalar draw."""
+
+    def _reference(self, true_us, chip, seeds):
+        return [noise_from_seed(t, chip, s) for t, s in zip(true_us, seeds)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=_SEEDS, data=st.data())
+    def test_draws_equal_noise_from_seed(self, seeds, data):
+        seeds = seeds + _BOUNDARY_SEEDS
+        true_us = data.draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1e7),
+                min_size=len(seeds),
+                max_size=len(seeds),
+            )
+        )
+        for chip in all_chips():
+            got = noise_from_seeds(np.array(true_us), chip, _u64(seeds))
+            assert got.tolist() == self._reference(true_us, chip, seeds)
+
+    def test_seeds_below_two_to_the_32_need_no_own_path(self):
+        seeds = np.random.default_rng(5).integers(0, 2**32, 500).tolist()
+        seeds += _BOUNDARY_SEEDS
+        true_us = [100.0 + i for i in range(len(seeds))]
+        for chip in all_chips():
+            got = noise_from_seeds(np.array(true_us), chip, _u64(seeds))
+            assert got.tolist() == self._reference(true_us, chip, seeds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=_SEEDS)
+    def test_pcg64_states_equal_numpy_seeding(self, seeds):
+        seeds = seeds + _BOUNDARY_SEEDS
+        states, incs = pcg64_states(_u64(seeds))
+        for seed, state, inc in zip(seeds, states, incs):
+            expected = np.random.PCG64(seed).state["state"]
+            assert (state, inc) == (expected["state"], expected["inc"])
+
+    def test_block_seeds_equal_measurement_seeds(self):
+        chip = get_chip("HD5500")
+        keys = [cfg.key() for cfg in enumerate_configs()]
+        seeds = block_seeds(chip, "bfs-wl", "eq-road", keys, 12)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [
+            measurement_seeds(chip, "bfs-wl", "eq-road", key, 12)
+            for key in keys
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        state=st.integers(min_value=0, max_value=2**64 - 1),
+        parts=st.lists(st.one_of(st.text(), st.integers()), max_size=8),
+    )
+    def test_fold_array_equals_fnv1a_fold(self, state, parts):
+        states = np.full(len(parts), state, dtype=np.uint64)
+        assert fnv1a_fold_array(states, parts).tolist() == [
+            fnv1a_fold(state, part) for part in parts
+        ]
+        assert fnv1a_extend_array(states, *parts).tolist() == [
+            fnv1a_extend(state, *parts)
+        ] * len(parts)
+
+    def test_negative_true_runtime_rejected(self):
+        with pytest.raises(ValueError):
+            noise_from_seeds(
+                np.array([1.0, -1.0]), get_chip("R9"), _u64([1, 2])
+            )
 
 
 class TestGoldenEquivalence:

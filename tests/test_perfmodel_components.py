@@ -19,7 +19,6 @@ from repro.perfmodel import (
     divergence_factor,
     global_barrier_us,
     host_overhead_us,
-    measurement_rng,
     noisy_measurement_us,
     workgroup_pressure,
 )
@@ -192,6 +191,6 @@ class TestNoise:
 
     def test_rng_keyed_on_all_coordinates(self):
         chip = get_chip("R9")
-        base = measurement_rng(chip, "p", "g", "c", 0).normal()
-        assert measurement_rng(chip, "p", "g", "c2", 0).normal() != base
-        assert measurement_rng(chip, "p2", "g", "c", 0).normal() != base
+        base = noisy_measurement_us(100.0, chip, "p", "g", "c", 0)
+        assert noisy_measurement_us(100.0, chip, "p", "g", "c2", 0) != base
+        assert noisy_measurement_us(100.0, chip, "p2", "g", "c", 0) != base
