@@ -9,7 +9,13 @@ from .options import (
     disable_opt,
     enumerate_configs,
 )
-from .pipeline import PlanCache, compile_cached, compile_program, plan_cache
+from .pipeline import (
+    PlanCache,
+    compile_block,
+    compile_cached,
+    compile_program,
+    plan_cache,
+)
 from .plan import ExecutablePlan, KernelPlan
 
 __all__ = [
@@ -21,6 +27,7 @@ __all__ = [
     "disable_opt",
     "enumerate_configs",
     "PlanCache",
+    "compile_block",
     "compile_cached",
     "compile_program",
     "plan_cache",

@@ -169,8 +169,18 @@ class OptConfig:
         return ", ".join(n for n in OPT_NAMES if n in self.enabled_names())
 
     def key(self) -> str:
-        """Stable machine key used in dataset storage."""
-        return "+".join(sorted(self.enabled_names())) or "baseline"
+        """Stable machine key used in dataset storage.
+
+        Computed once per instance and kept in its ``__dict__`` (a
+        frozen dataclass still has one), outside the fields that
+        equality, hashing and ordering compare.
+        """
+        try:
+            return self.__dict__["_key"]
+        except KeyError:
+            key = "+".join(sorted(self.enabled_names())) or "baseline"
+            self.__dict__["_key"] = key
+            return key
 
 
 BASELINE = OptConfig()

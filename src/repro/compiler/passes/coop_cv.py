@@ -56,14 +56,15 @@ def apply_coop_cv(
         if chip.lockstep_subgroups
         else PREDICATION_OVERHEAD
     )
-    plan = plan.with_(
+    note = (
+        f"coop-cv: {n_targets} contended RMW site(s) aggregated at "
+        f"subgroup scope (sg_size={plan.sg_size})"
+    )
+    return plan.with_(
         coop_scope="subgroup",
         local_mem_bytes=plan.local_mem_bytes
         + COOP_LOCAL_BYTES_PER_THREAD * plan.wg_size,
         sg_barriers_per_chunk=plan.sg_barriers_per_chunk + 2.0,
         predication_overhead=plan.predication_overhead + predication,
-    )
-    return plan.add_note(
-        f"coop-cv: {n_targets} contended RMW site(s) aggregated at "
-        f"subgroup scope (sg_size={plan.sg_size})"
+        notes=plan.notes + (note,),
     )

@@ -98,7 +98,7 @@ def apply_nested_parallelism(
             f"{fg_edges} edge(s) per executor round"
         )
 
-    plan = plan.with_(
+    return plan.with_(
         wg_scheme=config.wg,
         sg_scheme=config.sg,
         fg_edges=fg_edges,
@@ -109,7 +109,5 @@ def apply_nested_parallelism(
         sg_barriers_per_chunk=sg_barriers,
         predication_overhead=predication,
         leader_election_atomics=plan.leader_election_atomics or config.wg,
+        notes=plan.notes + tuple(notes),
     )
-    for note in notes:
-        plan = plan.add_note(note)
-    return plan

@@ -31,7 +31,7 @@ def apply_workgroup_size(
         raise InvalidConfigError(
             f"kernel {plan.kernel.name!r} is not workgroup-size agnostic"
         )
-    plan = plan.with_(wg_size=config.wg_size)
+    notes = plan.notes
     if config.wg_size != 128:
-        plan = plan.add_note(f"sz256: workgroup size set to {config.wg_size}")
-    return plan
+        notes += (f"sz256: workgroup size set to {config.wg_size}",)
+    return plan.with_(wg_size=config.wg_size, notes=notes)

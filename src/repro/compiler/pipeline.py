@@ -5,14 +5,18 @@ compiler: workgroup sizing first (it scales every later resource
 computation), then the intra-kernel transformations (nested
 parallelism, cooperative conversion), then whole-program iteration
 outlining (which needs the final per-kernel resource demands to
-discover a safe global-barrier occupancy).
+discover a safe global-barrier occupancy).  A block of configurations
+compiles together (:func:`compile_block`): the kernel passes run once
+per configuration with ``oitergb`` off, and only outlining runs per
+configuration.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from typing import Dict, Tuple
+from dataclasses import replace
+from typing import Dict, List, Sequence, Tuple
 
 from ..chips.model import ChipModel
 from ..dsl.ast import Program
@@ -25,7 +29,13 @@ from .passes.nested_parallelism import apply_nested_parallelism
 from .passes.workgroup_size import apply_workgroup_size
 from .plan import ExecutablePlan, KernelPlan
 
-__all__ = ["PlanCache", "compile_cached", "compile_program", "plan_cache"]
+__all__ = [
+    "PlanCache",
+    "compile_block",
+    "compile_cached",
+    "compile_program",
+    "plan_cache",
+]
 
 #: Programs that passed validation, by identity.  A ``Program`` is
 #: frozen, so one that validated once stays valid; the weak reference
@@ -51,23 +61,68 @@ def compile_program(
 ) -> ExecutablePlan:
     """Compile ``program`` for ``chip`` under ``config``.
 
-    Raises :class:`~repro.errors.InvalidConfigError` for configurations
+    The one-configuration case of :func:`compile_block`.  Raises
+    :class:`~repro.errors.InvalidConfigError` for configurations
     illegal on the chip (unsupported workgroup size) and
     :class:`~repro.errors.ForwardProgressError` when ``oitergb`` cannot
     construct a safe global barrier.
     """
-    _validate_once(program)
+    return compile_block(program, chip, [config])[0]
 
+
+def compile_block(
+    program: Program, chip: ChipModel, configs: Sequence[OptConfig]
+) -> List[ExecutablePlan]:
+    """Compile ``program`` for ``chip`` under each of ``configs``.
+
+    ``oitergb`` is a whole-program option that no kernel pass reads, so
+    the kernel passes run once per distinct ``oitergb``-off
+    configuration and their (frozen) kernel plans are shared; only
+    iteration outlining runs per configuration.  Each plan equals
+    :func:`compile_program` of its configuration, and an illegal
+    configuration raises what compiling it alone would, at the first
+    such configuration in ``configs`` order.
+    """
+    _validate_once(program)
+    shared: Dict[OptConfig, Dict[str, KernelPlan]] = {}
+    plans: List[ExecutablePlan] = []
+    for config in configs:
+        kernel_config = config
+        if config.oitergb:
+            kernel_config = replace(config, oitergb=False)
+        kernels = shared.get(kernel_config)
+        if kernels is None:
+            kernels = shared[kernel_config] = _compile_kernels(
+                program, chip, kernel_config, config
+            )
+        plan = ExecutablePlan(
+            program=program, chip=chip, config=config, kernels=dict(kernels)
+        )
+        plans.append(apply_iteration_outlining(plan, chip, config))
+    return plans
+
+
+def _compile_kernels(
+    program: Program,
+    chip: ChipModel,
+    kernel_config: OptConfig,
+    config: OptConfig,
+) -> Dict[str, KernelPlan]:
+    """Run the kernel passes under ``kernel_config`` (``oitergb`` off).
+
+    ``config`` is the configuration being compiled; it only names the
+    configuration in the local-memory error.
+    """
     kernels: Dict[str, KernelPlan] = {}
     for kernel in program.kernels:
         plan = KernelPlan(
             kernel=kernel,
-            wg_size=config.wg_size,
+            wg_size=kernel_config.wg_size,
             sg_size=chip.sg_size if chip.supports_subgroups else 1,
         )
-        plan = apply_workgroup_size(plan, chip, config)
-        plan = apply_nested_parallelism(plan, chip, config)
-        plan = apply_coop_cv(plan, chip, config)
+        plan = apply_workgroup_size(plan, chip, kernel_config)
+        plan = apply_nested_parallelism(plan, chip, kernel_config)
+        plan = apply_coop_cv(plan, chip, kernel_config)
         if plan.local_mem_bytes > chip.cu.local_mem_bytes:
             raise CompileError(
                 f"kernel {kernel.name!r} needs {plan.local_mem_bytes} B of "
@@ -75,12 +130,7 @@ def compile_program(
                 f"{chip.short_name} has {chip.cu.local_mem_bytes} B per CU"
             )
         kernels[kernel.name] = plan
-
-    plan = ExecutablePlan(
-        program=program, chip=chip, config=config, kernels=kernels
-    )
-    plan = apply_iteration_outlining(plan, chip, config)
-    return plan
+    return kernels
 
 
 class PlanCache:
@@ -93,7 +143,8 @@ class PlanCache:
     ``config.key()`` — the cached program object is re-verified by
     identity on hit, so two distinct programs sharing a name can never
     alias.  Only successful compilations are cached; illegal
-    configurations raise afresh on every call.
+    configurations raise afresh on every call (a block lookup whose
+    misses include one caches none of them).
     """
 
     def __init__(self, maxsize: int = 4096) -> None:
@@ -125,19 +176,42 @@ class PlanCache:
     def get(
         self, program: Program, chip: ChipModel, config: OptConfig
     ) -> ExecutablePlan:
-        key = (program.name, chip.short_name, config.key())
-        entry = self._plans.get(key)
-        if entry is not None and entry[0] is program:
-            self.hits += 1
-            self._plans.move_to_end(key)
-            return entry[1]
-        self.misses += 1
-        plan = compile_program(program, chip, config)
-        self._plans[key] = (program, plan)
-        self._plans.move_to_end(key)
-        while len(self._plans) > self.maxsize:
-            self._plans.popitem(last=False)
-        return plan
+        return self.get_block(program, chip, [config])[0]
+
+    def get_block(
+        self, program: Program, chip: ChipModel, configs: Sequence[OptConfig]
+    ) -> List[ExecutablePlan]:
+        """The plans of ``configs``, one cache lookup per configuration.
+
+        Every miss of the block is compiled in one :func:`compile_block`
+        call, so kernel plans are shared across the missed
+        configurations.
+        """
+        plans: List[ExecutablePlan] = []
+        missed: List[int] = []
+        for i, config in enumerate(configs):
+            key = (program.name, chip.short_name, config.key())
+            entry = self._plans.get(key)
+            if entry is not None and entry[0] is program:
+                self.hits += 1
+                self._plans.move_to_end(key)
+                plans.append(entry[1])
+            else:
+                self.misses += 1
+                missed.append(i)
+                plans.append(None)
+        if missed:
+            compiled = compile_block(
+                program, chip, [configs[i] for i in missed]
+            )
+            for i, plan in zip(missed, compiled):
+                plans[i] = plan
+                key = (program.name, chip.short_name, configs[i].key())
+                self._plans[key] = (program, plan)
+                self._plans.move_to_end(key)
+            while len(self._plans) > self.maxsize:
+                self._plans.popitem(last=False)
+        return plans
 
 
 #: Process-wide cache used by the study sweep (each worker process of a

@@ -13,7 +13,9 @@ per-plan facts the scalar model computes in Python (occupancy,
 workgroup pressure, barrier size scale, host overhead) are computed in
 Python here too, once per plan, and broadcast over the launches; each
 per-plan branch of the scalar model becomes a mask that selects
-between the two branch values.
+between the two branch values.  Inner-loop work, the costliest term,
+runs once per distinct row of the plan columns it reads and is
+gathered back to the plans.
 
 Bit-identical by construction: every expression below mirrors the
 scalar model's operation order (floating-point addition is not
@@ -33,6 +35,7 @@ path remains the reference oracle; the golden equivalence tests
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -99,6 +102,20 @@ def _column(values, dtype=np.float64) -> np.ndarray:
     return np.array(values, dtype=dtype).reshape(-1, 1)
 
 
+#: The :class:`_Columns` that :func:`_edge_units` reads.
+_EDGE_COLUMNS = (
+    "wg_scheme",
+    "wg_threshold",
+    "sg_scheme",
+    "sg_size",
+    "sg_threshold",
+    "fg_on",
+    "wg",
+    "fg",
+    "fg_factor",
+)
+
+
 class _Columns:
     """Per-plan facts of one kernel, one ``(P, 1)`` row per plan."""
 
@@ -141,6 +158,21 @@ class _Columns:
         self.predication = _column(
             [1.0 + k.predication_overhead for k in kplans]
         )
+        # Inner-loop work depends on the plan only through the
+        # _EDGE_COLUMNS: it is priced once per distinct row of them
+        # and gathered back through edge_index (None: all distinct).
+        rows = zip(
+            *(getattr(self, name)[:, 0].tolist() for name in _EDGE_COLUMNS)
+        )
+        distinct: Dict[tuple, int] = {}
+        index = [distinct.setdefault(row, len(distinct)) for row in rows]
+        self.edge_rows, self.edge_index = self, None
+        if len(distinct) < len(index):
+            self.edge_index = np.array(index, dtype=np.intp)
+            picks = np.unique(self.edge_index, return_index=True)[1]
+            self.edge_rows = SimpleNamespace(
+                **{name: getattr(self, name)[picks] for name in _EDGE_COLUMNS}
+            )
         # Atomics depend on the plan only through (coop?, sg width).
         atomic_keys = [
             k.sg_size if k.coop_scope is not None else None for k in kplans
@@ -210,8 +242,11 @@ def _imbalance_factor_batch(
     return np.where((total == 0.0) | (mean == 0.0), 1.0, raw)
 
 
-def _edge_units(cols: _Columns, group: TraceGroup):
+def _edge_units(cols, group: TraceGroup):
     """Scheme-partitioned inner-loop work, imbalance-inflated.
+
+    ``cols`` holds the :data:`_EDGE_COLUMNS`, one row per distinct
+    inner-loop configuration (``_Columns.edge_rows``).
 
     Vector form of :func:`~repro.perfmodel.imbalance.partition_work`:
     the scheme a bucket goes to depends only on its representative
@@ -338,7 +373,10 @@ def _group_costs(chip: ChipModel, cols: _Columns, group: TraceGroup):
 
     # -- inner-loop edge work -------------------------------------------
     if cols.has_loop and group.width > 0:
-        edge_units, fg_rounds, n_sg, n_wg = _edge_units(cols, group)
+        parts = _edge_units(cols.edge_rows, group)
+        if cols.edge_index is not None:
+            parts = [part[cols.edge_index] for part in parts]
+        edge_units, fg_rounds, n_sg, n_wg = parts
     else:
         edge_units = edges.astype(np.float64)
         n_sg = n_wg = fg_rounds = np.zeros(group.n, dtype=np.float64)

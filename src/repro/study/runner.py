@@ -56,7 +56,7 @@ from ..apps.registry import all_applications
 from ..chips.database import all_chips
 from ..chips.model import ChipModel
 from ..compiler.options import OptConfig, enumerate_configs
-from ..compiler.pipeline import compile_cached, plan_cache
+from ..compiler.pipeline import plan_cache
 from ..dsl.ast import Program
 from ..errors import CheckpointError
 from ..faults import FaultPlan
@@ -261,6 +261,7 @@ def _price_block(
                 outcomes[task] = exc
     live = [task for task in block if task not in outcomes]
     chip = chips[block[0][0]]
+    block_configs = [configs[cfg_idx] for _, cfg_idx in live]
     rows: Dict[Task, Union[list, Exception]] = {task: [] for task in live}
     plan_hits, plan_misses = plan_cache.hits, plan_cache.misses
     with recorder.span(
@@ -268,11 +269,9 @@ def _price_block(
     ) as span:
         try:
             for (app_name, input_name), trace in traces.items():
-                program = programs[app_name]
-                plans = [
-                    compile_cached(program, chip, configs[cfg_idx])
-                    for _, cfg_idx in live
-                ]
+                plans = plan_cache.get_block(
+                    programs[app_name], chip, block_configs
+                )
                 priced = _measure_plans(plans, trace, repetitions, engine)
                 for task, times in zip(live, priced):
                     rows[task].append((app_name, input_name, times))

@@ -133,3 +133,52 @@ class TestSemantics:
         assert cfg.uses_nested_parallelism == (
             cfg.wg or cfg.sg or cfg.fg is not None
         )
+
+
+def _recomputed_key(config: OptConfig) -> str:
+    return "+".join(sorted(config.enabled_names())) or "baseline"
+
+
+class TestKeyMemo:
+    """``key()`` is computed once per instance and never changes meaning."""
+
+    def test_every_config_keeps_its_key(self):
+        import copy
+        import pickle
+        from dataclasses import replace
+
+        for config in enumerate_configs():
+            expected = _recomputed_key(config)
+            fresh = OptConfig(**{
+                f: getattr(config, f)
+                for f in ("coop_cv", "wg", "sg", "fg", "oitergb", "wg_size")
+            })
+            assert config.key() == expected
+            assert config.key() is config.key()  # memoised on the instance
+            # The cached key is not a field: equality, hashing and order
+            # compare the same with and without it.
+            assert config == fresh and hash(config) == hash(fresh)
+            assert not (config < fresh) and not (fresh < config)
+            assert {config, fresh} == {fresh}
+            for copied in (
+                pickle.loads(pickle.dumps(config)),
+                pickle.loads(pickle.dumps(fresh)),
+                copy.deepcopy(config),
+                replace(config),
+            ):
+                assert copied == config and copied.key() == expected
+            for name in OPT_NAMES:
+                mirror = disable_opt(config, name)
+                assert mirror.key() == _recomputed_key(mirror)
+            flipped = replace(config, oitergb=not config.oitergb)
+            assert flipped.key() == _recomputed_key(flipped) != expected
+
+    def test_key_is_not_a_field(self):
+        from dataclasses import fields
+
+        config = OptConfig(wg=True)
+        config.key()
+        assert [f.name for f in fields(config)] == [
+            "coop_cv", "wg", "sg", "fg", "oitergb", "wg_size"
+        ]
+        assert repr(config) == repr(OptConfig(wg=True))

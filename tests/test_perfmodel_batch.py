@@ -395,6 +395,92 @@ class TestChipBlockFuzz:
         )
 
 
+_COMPONENTS = ("scan_us", "edge_us", "barrier_us", "local_us", "atomic_us",
+               "total_us")
+
+
+def _assert_rows_equal_single_passes(plans, trace):
+    """``price_plans_batch`` row ``p`` == ``price_trace_batch(plans[p])``."""
+    block = price_plans_batch(plans, trace.arrays())
+    for i, plan in enumerate(plans):
+        one = price_trace_batch(plan, trace.arrays())
+        for name in _COMPONENTS:
+            assert np.array_equal(getattr(block, name)[i], getattr(one, name)), (
+                plan.config.label(), name
+            )
+
+
+def _edge_row_index(plans, kernel: str):
+    from repro.perfmodel.batch import _Columns
+
+    index = _Columns(plans, kernel).edge_index
+    return list(range(len(plans))) if index is None else index.tolist()
+
+
+class TestDistinctEdgeRows:
+    """Inner-loop work is priced once per distinct row, then gathered.
+
+    However a block's plans are chosen, ordered or repeated, each row
+    stays exactly the plan's own one-plan pass.
+    """
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        trace=random_traces(),
+        picks=st.lists(st.integers(min_value=0, max_value=95), min_size=1,
+                       max_size=24),
+    )
+    def test_any_subset_order_and_repeats(self, trace, picks):
+        for chip_name in TestGoldenEquivalence.CHIPS:
+            block = _chip_block(trace.program, chip_name)
+            _assert_rows_equal_single_passes([block[i] for i in picks], trace)
+
+    def test_full_block_has_24_distinct_rows(self, traced_runs):
+        for chip_name in TestGoldenEquivalence.CHIPS:
+            plans = _chip_block("bfs-wl", chip_name)
+            kernel = next(
+                k.name for k in plans[0].program.kernels if k.has_neighbor_loop
+            )
+            index = _edge_row_index(plans, kernel)
+            # coop-cv and oitergb never reach the inner-loop work.
+            assert sorted(set(index)) == list(range(24))
+            for plan, row in zip(plans, index):
+                twin = next(
+                    other for other, other_row in zip(plans, index)
+                    if other_row == row and other is not plan
+                )
+                assert (twin.config.wg, twin.config.sg, twin.config.fg,
+                        twin.config.wg_size) == (plan.config.wg, plan.config.sg,
+                                                 plan.config.fg,
+                                                 plan.config.wg_size)
+
+    def test_block_sharing_one_nested_parallelism_row(self, traced_runs):
+        for app, trace in traced_runs:
+            for chip_name in TestGoldenEquivalence.CHIPS:
+                plans = [
+                    plan for plan in _chip_block(app.name, chip_name)
+                    if (plan.config.wg, plan.config.sg, plan.config.fg,
+                        plan.config.wg_size) == (True, True, 8, 256)
+                ]
+                assert len(plans) == 4
+                for kernel in plans[0].kernels:
+                    assert _edge_row_index(plans, kernel) == [0, 0, 0, 0]
+                _assert_rows_equal_single_passes(plans, trace)
+
+    def test_live_shards_after_an_armed_fault(self, traced_runs):
+        # A fault armed at shard 17 splits the block there, and a failed
+        # shard leaves the block with a hole: price what is left.
+        app, trace = traced_runs[1]
+        for chip_name in TestGoldenEquivalence.CHIPS:
+            block = _chip_block(app.name, chip_name)
+            for live in (block[17:], block[:17] + block[18:], block[:1]):
+                _assert_rows_equal_single_passes(live, trace)
+
+
 # -- differential fuzzing ----------------------------------------------------
 
 from repro.graphs.inputs import StudyInput  # noqa: E402
