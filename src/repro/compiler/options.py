@@ -110,7 +110,11 @@ class OptConfig:
     # -- name-based view (the analysis vocabulary) ----------------------
 
     def enabled_names(self) -> FrozenSet[str]:
-        """The set of enabled optimisation names."""
+        """The set of enabled optimisation names, memoised like :meth:`key`."""
+        try:
+            return self.__dict__["_names"]
+        except KeyError:
+            pass
         names = set()
         if self.coop_cv:
             names.add("coop-cv")
@@ -126,7 +130,8 @@ class OptConfig:
             names.add("oitergb")
         if self.wg_size == 256:
             names.add("sz256")
-        return frozenset(names)
+        self.__dict__["_names"] = frozen = frozenset(names)
+        return frozen
 
     def has(self, name: str) -> bool:
         if name not in OPT_NAMES:
@@ -163,10 +168,17 @@ class OptConfig:
         return self.wg or self.sg or self.fg is not None
 
     def label(self) -> str:
-        """Human-readable label, e.g. ``"wg, fg8"`` (paper Table III)."""
-        if self.is_baseline:
-            return "baseline"
-        return ", ".join(n for n in OPT_NAMES if n in self.enabled_names())
+        """Human-readable label, e.g. ``"wg, fg8"`` (paper Table III).
+
+        Memoised like :meth:`key`.
+        """
+        try:
+            return self.__dict__["_label"]
+        except KeyError:
+            names = self.enabled_names()
+            label = ", ".join(n for n in OPT_NAMES if n in names) or "baseline"
+            self.__dict__["_label"] = label
+            return label
 
     def key(self) -> str:
         """Stable machine key used in dataset storage.

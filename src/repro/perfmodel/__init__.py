@@ -17,6 +17,7 @@ from .batch import (
     estimate_runtimes_us_batch,
     measure_plans_us_batch,
     measure_repeats_us_batch,
+    measure_traces_us_batch,
     price_plans_batch,
     price_trace_batch,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "estimate_runtimes_us_batch",
     "measure_plans_us_batch",
     "measure_repeats_us_batch",
+    "measure_traces_us_batch",
     "price_plans_batch",
     "price_trace_batch",
     "LaunchCost",

@@ -73,6 +73,7 @@ __all__ = [
     "estimate_runtimes_us_batch",
     "measure_plans_us_batch",
     "measure_repeats_us_batch",
+    "measure_traces_us_batch",
     "price_plans_batch",
     "price_trace_batch",
 ]
@@ -448,15 +449,16 @@ def _check_plans(plans: Sequence[ExecutablePlan], arrays: TraceArrays) -> None:
             )
 
 
-def price_plans_batch(
-    plans: Sequence[ExecutablePlan], trace: Union[Trace, TraceArrays]
+def _price_plans(
+    plans: Sequence[ExecutablePlan],
+    arrays: TraceArrays,
+    columns: Dict[str, _Columns],
 ) -> BatchLaunchCosts:
-    """Cost every launch of a trace under each of one chip's plans.
+    """:func:`price_plans_batch`, reading and filling ``columns``.
 
-    Every array of the result has shape ``(len(plans), n_launches)``;
-    row ``p`` is exactly :func:`price_trace_batch` of ``plans[p]``.
+    ``columns`` maps a kernel to its :class:`_Columns` under ``plans``;
+    traces of one program priced under the same plans may share it.
     """
-    arrays = _as_arrays(trace)
     _check_plans(plans, arrays)
     shape = (len(plans), arrays.n_launches)
     scan = np.zeros(shape, dtype=np.float64)
@@ -465,7 +467,6 @@ def price_plans_batch(
     local = np.zeros(shape, dtype=np.float64)
     atomic = np.zeros(shape, dtype=np.float64)
     if plans:
-        columns: Dict[str, _Columns] = {}
         for group in arrays.groups:
             if group.kernel not in columns:
                 columns[group.kernel] = _Columns(plans, group.kernel)
@@ -489,6 +490,17 @@ def price_plans_batch(
         fixed_us=_KERNEL_FIXED_US,
         total_us=total,
     )
+
+
+def price_plans_batch(
+    plans: Sequence[ExecutablePlan], trace: Union[Trace, TraceArrays]
+) -> BatchLaunchCosts:
+    """Cost every launch of a trace under each of one chip's plans.
+
+    Every array of the result has shape ``(len(plans), n_launches)``;
+    row ``p`` is exactly :func:`price_trace_batch` of ``plans[p]``.
+    """
+    return _price_plans(plans, _as_arrays(trace), {})
 
 
 def price_trace_batch(
@@ -524,6 +536,20 @@ def _host_overhead_us(plan: ExecutablePlan, arrays: TraceArrays) -> float:
     return total
 
 
+def _estimate_runtimes(
+    plans: Sequence[ExecutablePlan],
+    arrays: TraceArrays,
+    columns: Dict[str, _Columns],
+) -> List[float]:
+    """:func:`estimate_runtimes_us_batch`, sharing ``columns``."""
+    costs = _price_plans(plans, arrays, columns)
+    host = _column([_host_overhead_us(plan, arrays) for plan in plans])
+    # Host overhead first, then each launch in trace order: a running
+    # sum (never a pairwise one), bit-identical to the scalar loop.
+    running = np.cumsum(np.concatenate([host, costs.total_us], axis=1), axis=1)
+    return running[:, -1].tolist()
+
+
 def estimate_runtimes_us_batch(
     plans: Sequence[ExecutablePlan], trace: Union[Trace, TraceArrays]
 ) -> List[float]:
@@ -532,13 +558,7 @@ def estimate_runtimes_us_batch(
     One pricing pass for the whole sequence; the plans must share a
     chip and compile the trace's program.
     """
-    arrays = _as_arrays(trace)
-    costs = price_plans_batch(plans, arrays)
-    host = _column([_host_overhead_us(plan, arrays) for plan in plans])
-    # Host overhead first, then each launch in trace order: a running
-    # sum (never a pairwise one), bit-identical to the scalar loop.
-    running = np.cumsum(np.concatenate([host, costs.total_us], axis=1), axis=1)
-    return running[:, -1].tolist()
+    return _estimate_runtimes(plans, _as_arrays(trace), {})
 
 
 def estimate_runtime_us_batch(
@@ -546,6 +566,44 @@ def estimate_runtime_us_batch(
 ) -> float:
     """Batch equivalent of :func:`~repro.perfmodel.simulate.estimate_runtime_us`."""
     return estimate_runtimes_us_batch([plan], trace)[0]
+
+
+def measure_traces_us_batch(
+    plans: Sequence[ExecutablePlan],
+    traces: Sequence[Union[Trace, TraceArrays]],
+    repetitions: int = 3,
+) -> List[List[List[float]]]:
+    """:func:`measure_plans_us_batch` of each of one program's traces.
+
+    The plans' per-kernel column tables are built once for all the
+    traces, and every trace's draws go through one
+    :func:`~repro.perfmodel.noise.noise_from_seeds` call; nothing is
+    kept past the call.
+    """
+    if repetitions < 1:
+        raise ValueError("at least one repetition is required")
+    columns: Dict[str, _Columns] = {}
+    true_us: List[float] = []
+    seeds = []
+    for trace in traces:
+        arrays = _as_arrays(trace)
+        true_us += _estimate_runtimes(plans, arrays, columns)
+        if plans:
+            seeds.append(
+                block_seeds(
+                    plans[0].chip,
+                    arrays.program,
+                    arrays.graph,
+                    [plan.config.key() for plan in plans],
+                    repetitions,
+                ).ravel()
+            )
+    if not seeds:
+        return [[] for _ in traces]
+    times = noise_from_seeds(
+        np.repeat(true_us, repetitions), plans[0].chip, np.concatenate(seeds)
+    )
+    return times.reshape(len(traces), len(plans), repetitions).tolist()
 
 
 def measure_plans_us_batch(
@@ -560,24 +618,7 @@ def measure_plans_us_batch(
     (:func:`~repro.perfmodel.noise.block_seeds`) and one for their
     draws (:func:`~repro.perfmodel.noise.noise_from_seeds`).
     """
-    if repetitions < 1:
-        raise ValueError("at least one repetition is required")
-    arrays = _as_arrays(trace)
-    true_us = estimate_runtimes_us_batch(plans, arrays)
-    if not plans:
-        return []
-    chip = plans[0].chip
-    seeds = block_seeds(
-        chip,
-        arrays.program,
-        arrays.graph,
-        [plan.config.key() for plan in plans],
-        repetitions,
-    )
-    times = noise_from_seeds(
-        np.repeat(true_us, repetitions), chip, seeds.ravel()
-    )
-    return times.reshape(len(plans), repetitions).tolist()
+    return measure_traces_us_batch(plans, [trace], repetitions)[0]
 
 
 def measure_repeats_us_batch(

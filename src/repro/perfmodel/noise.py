@@ -18,15 +18,20 @@ measurement is :func:`noise_from_seed` of it — one fresh
 Scalar callers fold the (chip, program, graph) prefix of the FNV-1a
 stream once (:func:`measurement_prefix`) and derive a point's
 repetition seeds from it (:func:`measurement_seeds`).  A study sweep
-draws a whole (trace, chip block) at once through the array path:
-:func:`block_seeds` hashes every configuration key in one ``uint64``
-pass, :func:`pcg64_states` reimplements numpy's ``SeedSequence`` and
-the PCG64 seeding step over the whole seed array, and
-:func:`noise_from_seeds` draws every measurement through one reused
-generator whose state is set per seed.  The array path is ``==`` the
-reference for every seed; the tests pin it against numpy's own
-seeding, so a numpy release that changes ``SeedSequence`` fails there
-rather than in a dataset.
+draws a program's traces under a chip block at once through the array
+path, with no generator per seed: :func:`block_seeds` hashes every
+configuration key in one ``uint64`` pass; :func:`pcg64_states`
+reimplements numpy's ``SeedSequence`` and the PCG64 seeding step over
+the whole seed array; and :func:`noise_from_seeds` steps each LCG
+twice in ``uint64`` words and turns the two outputs into the standard
+normal (numpy's ziggurat fast path) and the uniform.  The ziggurat
+tables ``wi``/``ki`` are C statics of numpy, read back once at import
+by steering a generator to emit chosen words (:func:`_probe`).  A draw
+off the fast path (~1.5 %) is taken from :func:`noise_from_seed`
+itself.  The array path is ``==`` the reference for every seed; the
+tests pin it against numpy's own seeding and draws, so a numpy release
+that changes ``SeedSequence`` or the ziggurat fails there rather than
+in a dataset.
 """
 
 from __future__ import annotations
@@ -66,9 +71,17 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
-#: PCG64's default 128-bit LCG multiplier (``pcg64.h``).
+#: PCG64's default 128-bit LCG multiplier (``pcg64.h``), its inverse
+#: modulo 2**128, and its (high, low) words.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
+_PCG_MULT_HIGH = np.uint64(_PCG_MULT >> 64)
+_PCG_MULT_LOW = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_U32 = np.uint64(32)
+_U64 = np.uint64(64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_LOW52 = np.uint64((1 << 52) - 1)
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -173,25 +186,125 @@ def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
     return out[0::2] | (out[1::2] << np.uint64(32))
 
 
-def pcg64_states(seeds: np.ndarray) -> Tuple[List[int], List[int]]:
-    """The ``(state, inc)`` lists ``np.random.PCG64(seed)`` starts from.
+#: A 128-bit integer per element, as its (high, low) ``uint64`` words.
+Words128 = Tuple[np.ndarray, np.ndarray]
 
-    From each seed's :func:`_seed_sequence_words` ``(s0, s1, i0, i1)``,
-    PCG64 seeds its LCG with ``initstate = s0:s1`` and ``initseq =
-    i0:i1`` (high word first) by ``pcg_setseq_128_srandom_r``:
-    ``inc = initseq << 1 | 1``, then one LCG step from state 0, add
-    ``initstate``, and one more step — in Python's exact integers,
-    modulo 2**128.
+
+def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High word of the 128-bit product of ``uint64`` words ``a`` and ``b``.
+
+    Built from 32-bit limbs, whose products fit a ``uint64``.
     """
-    words = _seed_sequence_words(seeds).tolist()
-    states: List[int] = []
-    incs: List[int] = []
-    for s0, s1, i0, i1 in zip(*words):
-        inc = (((i0 << 64) | i1) << 1 | 1) & _MASK128
-        state = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128
-        states.append(state)
-        incs.append(inc)
-    return states, incs
+    a0, a1 = a & _LOW32, a >> _U32
+    b0, b1 = b & _LOW32, b >> _U32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+
+
+def _add128(a: Words128, b: Words128) -> Words128:
+    """``a + b`` modulo 2**128."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < a[1]).astype(np.uint64), low
+
+
+def _pcg64_step(state: Words128, inc: Words128) -> Words128:
+    """One LCG step, ``state * M + inc`` modulo 2**128."""
+    high, low = state
+    product = (
+        _mul_hi(low, _PCG_MULT_LOW)
+        + low * _PCG_MULT_HIGH
+        + high * _PCG_MULT_LOW,
+        low * _PCG_MULT_LOW,
+    )
+    return _add128(product, inc)
+
+
+def _xsl_rr(state: Words128) -> np.ndarray:
+    """PCG64's output of a state: ``rotr64(high ^ low, high >> 58)``."""
+    high, low = state
+    word = high ^ low
+    rot = high >> np.uint64(58)
+    return (word >> rot) | (word << ((_U64 - rot) & np.uint64(63)))
+
+
+def pcg64_states(seeds: np.ndarray) -> Tuple[Words128, Words128]:
+    """The ``(state, inc)`` that ``np.random.PCG64(seed)`` starts from.
+
+    Each is a (high, low) pair of ``uint64`` arrays, one element per
+    seed.  From each seed's :func:`_seed_sequence_words` ``(s0, s1,
+    i0, i1)``, PCG64 seeds its LCG with ``initstate = s0:s1`` and
+    ``initseq = i0:i1`` (high word first) by
+    ``pcg_setseq_128_srandom_r``: ``inc = initseq << 1 | 1``, then one
+    LCG step from state 0, add ``initstate``, and one more step —
+    modulo 2**128, in ``uint64`` words.
+    """
+    s0, s1, i0, i1 = _seed_sequence_words(seeds)
+    one = np.uint64(1)
+    inc = ((i0 << one) | (i1 >> np.uint64(63)), (i1 << one) | one)
+    return _pcg64_step(_add128(inc, (s0, s1)), inc), inc
+
+
+# -- numpy's ziggurat tables -----------------------------------------------
+#
+# ``Generator.standard_normal`` takes one 64-bit output ``r``: ``idx =
+# r & 0xff``, ``sign = (r >> 8) & 1``, ``rabs = (r >> 9) & (2**52 - 1)``,
+# and returns ``z = (-1)**sign * rabs * wi[idx]`` when ``rabs < ki[idx]``
+# (the fast path).  Otherwise it draws more outputs (the tail at
+# ``idx == 0``, the wedge test elsewhere).  numpy keeps ``wi``/``ki`` as
+# C statics, so they are read back here, once per process, by steering
+# a generator to emit a chosen word.
+
+
+def _probe(rng: np.random.Generator, word: int) -> Tuple[float, bool]:
+    """``standard_normal()`` of ``rng`` steered to output ``word`` next.
+
+    With ``inc = 1`` and ``state = (word - 1) * M**-1``, one LCG step
+    gives ``state == word``: its high word is 0, so the XSL-RR output is
+    ``word``.  Also returns whether the draw took the fast path, i.e.
+    consumed that output only (the state after it is still ``word``).
+    ``rng`` must draw from a PCG64.
+    """
+    bit_generator = rng.bit_generator
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": ((word - 1) * _PCG_MULT_INV) & _MASK128, "inc": 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    z = rng.standard_normal()
+    return z, bit_generator.state["state"]["state"] == word
+
+
+def _ziggurat_word(idx: int, rabs: int) -> int:
+    """The output word whose draw reads ``idx``, sign 0 and ``rabs``."""
+    return (rabs << 9) | idx
+
+
+def _ziggurat_tables() -> Tuple[np.ndarray, np.ndarray]:
+    """numpy's ``wi`` and verified lower bounds of its ``ki``.
+
+    ``wi[i]`` is the draw at ``rabs == 1``.  ``ki[i]`` is, to within 1,
+    ``2**52 * wi[i - 1] / wi[i]`` (``wi[255]`` for ``i == 0``); one
+    less than that floor is kept when the draw at ``rabs`` just below
+    it takes the fast path — ``rabs < ki`` is monotone in ``rabs``, so
+    every smaller ``rabs``, ``rabs == 1`` included, does too — and 0
+    otherwise (numpy's ``ki[1]`` is 0), which sends every draw of that
+    index to the fallback.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    wi = np.array([_probe(rng, _ziggurat_word(i, 1))[0] for i in range(256)])
+    ki = np.zeros(256, dtype=np.uint64)
+    for idx in range(256):
+        ratio = 2.0**52 * wi[idx - 1] / wi[idx] if wi[idx] > 0 else 0.0
+        bound = int(min(ratio, 2.0**52)) - 1 if ratio > 0 else 0
+        if bound > 1 and _probe(rng, _ziggurat_word(idx, bound - 1))[1]:
+            ki[idx] = bound
+    return wi, ki
+
+
+#: ``wi`` and fast-path bounds ``ki`` of this process's numpy.
+_ZIGGURAT_WI, _ZIGGURAT_KI = _ziggurat_tables()
 
 
 def noise_from_seed(true_us: float, chip: ChipModel, seed: int) -> float:
@@ -211,37 +324,34 @@ def noise_from_seeds(
 ) -> np.ndarray:
     """``noise_from_seed(true_us[i], chip, seeds[i])`` of every ``i``.
 
-    One generator is reused: its PCG64 state is set from
-    :func:`pcg64_states` per seed, and it draws the same standard
-    normal and uniform :func:`noise_from_seed` draws.
-    ``normal(0.0, sigma)`` is ``0.0 + sigma * z`` and ``uniform(0.0,
-    b)`` is ``0.0 + b * u``; adding ``0.0`` only changes the sign of a
-    zero, which neither ``exp`` nor a non-negative jitter can see, so
-    the scaling, ``exp`` and the sum run over whole arrays.
+    Each seed's generator is stepped twice from :func:`pcg64_states` in
+    ``uint64`` arithmetic.  The first output gives the standard normal
+    ``z`` by numpy's ziggurat fast path, the second the uniform ``u =
+    (r2 >> 11) * 2**-53``.  ``normal(0.0, sigma)`` is ``0.0 + sigma *
+    z`` and ``uniform(0.0, b)`` is ``0.0 + b * u``; adding ``0.0`` only
+    changes the sign of a zero, which neither ``exp`` nor a
+    non-negative jitter can see.  A draw off the fast path (about
+    1.5 %) would consume more outputs, so it is taken from
+    :func:`noise_from_seed` itself.
     """
     true_us = np.asarray(true_us, dtype=np.float64)
     if (true_us < 0).any():
         raise ValueError("true runtime must be non-negative")
-    states, incs = pcg64_states(seeds)
-    bit_generator = np.random.PCG64()
-    rng = np.random.Generator(bit_generator)
-    lcg = {"state": 0, "inc": 0}
-    full_state = {
-        "bit_generator": "PCG64",
-        "state": lcg,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    normal = np.empty(len(states), dtype=np.float64)
-    uniform = np.empty(len(states), dtype=np.float64)
-    for i, (state, inc) in enumerate(zip(states, incs)):
-        lcg["state"] = state
-        lcg["inc"] = inc
-        bit_generator.state = full_state
-        normal[i] = rng.standard_normal()
-        uniform[i] = rng.random()
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    state, inc = pcg64_states(seeds)
+    state = _pcg64_step(state, inc)
+    first = _xsl_rr(state)
+    second = _xsl_rr(_pcg64_step(state, inc))
+    idx = (first & np.uint64(0xFF)).astype(np.intp)
+    rabs = (first >> np.uint64(9)) & _LOW52
+    normal = rabs.astype(np.float64) * _ZIGGURAT_WI[idx]
+    normal = np.where(first & np.uint64(0x100), -normal, normal)
+    uniform = (second >> np.uint64(11)).astype(np.float64) * 2.0**-53
     multiplicative = np.exp(chip.noise_sigma * normal)
-    return true_us * multiplicative + _TIMER_JITTER_US * uniform
+    times = true_us * multiplicative + _TIMER_JITTER_US * uniform
+    for i in np.flatnonzero(rabs >= _ZIGGURAT_KI[idx]).tolist():
+        times[i] = noise_from_seed(float(true_us[i]), chip, int(seeds[i]))
+    return times
 
 
 def noisy_measurement_us(

@@ -62,7 +62,7 @@ from ..errors import CheckpointError
 from ..faults import FaultPlan
 from ..graphs.inputs import StudyInput, study_inputs
 from ..obs import NULL_RECORDER, Recorder, RunReport
-from ..perfmodel.batch import measure_plans_us_batch
+from ..perfmodel.batch import measure_traces_us_batch
 from ..perfmodel.simulate import measure_repeats_us
 from ..runtime.trace import Trace
 from .checkpoint import StudyCheckpoint, study_fingerprint
@@ -159,12 +159,17 @@ def collect_traces(
 
 
 def _measure_plans(
-    plans: List, trace: Trace, repetitions: int, engine: str
-) -> List[List[float]]:
-    """Price one trace under one chip's plans with the selected engine."""
+    plans: List, traces: List[Trace], repetitions: int, engine: str
+) -> List[List[List[float]]]:
+    """Price one program's traces under one chip's plans, per trace."""
     if engine == "scalar":
-        return [measure_repeats_us(plan, trace, repetitions) for plan in plans]
-    return measure_plans_us_batch(plans, trace.arrays(), repetitions)
+        return [
+            [measure_repeats_us(plan, trace, repetitions) for plan in plans]
+            for trace in traces
+        ]
+    return measure_traces_us_batch(
+        plans, [trace.arrays() for trace in traces], repetitions
+    )
 
 
 # -- pricing shards and blocks -----------------------------------------------
@@ -243,8 +248,9 @@ def _price_block(
     from :func:`_blocks` have faults armed at their first shard only);
     a shard whose ``error`` fault fires (or a block whose pricing
     raises) comes back as its exception while the rest of the block is
-    priced.  With
-    an enabled ``recorder`` the block is wrapped in a
+    priced.  A program's traces are priced in one call, which builds
+    the block's plan columns once for all of them; rows keep trace
+    order.  With an enabled ``recorder`` the block is wrapped in a
     ``study.price_block`` span and the plan-cache hit/miss deltas it
     accrued are counted.
     """
@@ -268,13 +274,23 @@ def _price_block(
         "study.price_block", chip=chip.short_name, shards=len(live)
     ) as span:
         try:
-            for (app_name, input_name), trace in traces.items():
-                plans = plan_cache.get_block(
-                    programs[app_name], chip, block_configs
+            by_program: Dict[str, List[tuple]] = {}
+            for key in traces:
+                by_program.setdefault(key[0], []).append(key)
+            priced: Dict[tuple, List[List[float]]] = {}
+            for app_name, keys in by_program.items():
+                for _ in keys:  # one plan-cache lookup per trace
+                    plans = plan_cache.get_block(
+                        programs[app_name], chip, block_configs
+                    )
+                program_traces = [traces[key] for key in keys]
+                times = _measure_plans(
+                    plans, program_traces, repetitions, engine
                 )
-                priced = _measure_plans(plans, trace, repetitions, engine)
-                for task, times in zip(live, priced):
-                    rows[task].append((app_name, input_name, times))
+                priced.update(zip(keys, times))
+            for key in traces:
+                for task, times in zip(live, priced[key]):
+                    rows[task].append(key + (times,))
         except Exception as exc:
             rows = dict.fromkeys(live, exc)
         span.set("traces", len(traces))

@@ -182,3 +182,65 @@ class TestKeyMemo:
             "coop_cv", "wg", "sg", "fg", "oitergb", "wg_size"
         ]
         assert repr(config) == repr(OptConfig(wg=True))
+
+
+def _recomputed_names(config: OptConfig) -> frozenset:
+    flags = (
+        ("coop-cv", config.coop_cv),
+        ("wg", config.wg),
+        ("sg", config.sg),
+        ("fg", config.fg == 1),
+        ("fg8", config.fg == 8),
+        ("oitergb", config.oitergb),
+        ("sz256", config.wg_size == 256),
+    )
+    return frozenset(name for name, on in flags if on)
+
+
+def _recomputed_label(config: OptConfig) -> str:
+    names = _recomputed_names(config)
+    return ", ".join(n for n in OPT_NAMES if n in names) or "baseline"
+
+
+class TestNameMemo:
+    """``enabled_names()`` and ``label()`` are memoised like ``key()``."""
+
+    def test_every_config_keeps_its_names_and_label(self):
+        import copy
+        import pickle
+        from dataclasses import replace
+
+        for config in enumerate_configs():
+            names, label = _recomputed_names(config), _recomputed_label(config)
+            fresh = OptConfig(**{
+                f: getattr(config, f)
+                for f in ("coop_cv", "wg", "sg", "fg", "oitergb", "wg_size")
+            })
+            assert config.enabled_names() == names
+            assert config.label() == label
+            assert config.enabled_names() is config.enabled_names()
+            assert config.label() is config.label()
+            assert config.is_baseline == (label == "baseline")
+            assert config == fresh and hash(config) == hash(fresh)
+            assert not (config < fresh) and not (fresh < config)
+            for copied in (
+                pickle.loads(pickle.dumps(config)),
+                copy.deepcopy(config),
+                replace(config),
+            ):
+                assert copied == config
+                assert copied.enabled_names() == names
+                assert copied.label() == label
+            flipped = replace(config, sg=not config.sg)
+            assert flipped.enabled_names() == _recomputed_names(flipped)
+            assert flipped.label() == _recomputed_label(flipped) != label
+
+    def test_memo_is_not_a_field(self):
+        from dataclasses import asdict
+
+        config = OptConfig(sg=True, fg=8)
+        config.enabled_names()
+        config.label()
+        assert asdict(config) == asdict(OptConfig(sg=True, fg=8))
+        assert repr(config) == repr(OptConfig(sg=True, fg=8))
+        assert config.label() == "sg, fg8"

@@ -27,6 +27,7 @@ from repro.perfmodel import (
     measure_repeats_us,
     measure_plans_us_batch,
     measure_repeats_us_batch,
+    measure_traces_us_batch,
     measurement_prefix,
     measurement_seeds,
     noise_from_seed,
@@ -35,6 +36,12 @@ from repro.perfmodel import (
     pcg64_states,
     price_plans_batch,
     price_trace_batch,
+)
+from repro.perfmodel.noise import (
+    _ZIGGURAT_KI,
+    _ZIGGURAT_WI,
+    _probe,
+    _ziggurat_word,
 )
 from repro.runtime.trace import LaunchRecord, Trace
 from repro.util import (
@@ -138,6 +145,38 @@ def _u64(seeds):
     return np.array(seeds, dtype=np.uint64)
 
 
+#: Seeds whose standard normal leaves numpy's ziggurat fast path, from a
+#: scan of seeds 0 .. 99,999 and 2**63 .. 2**63 + 99,999 (about 1.5 %
+#: of each leave it): the tail strip (index 0), index 1 (numpy's
+#: ``ki[1]`` is 0), and the wedge test accepting or rejecting.
+_OFF_FAST_PATH = {
+    "tail": [755, 1950, 2**63 + 3668, 2**63 + 13153],
+    "index 1": [15, 163, 2**63 + 302, 2**63 + 796],
+    "wedge accepts": [235, 282, 2**63 + 283, 2**63 + 308],
+    "wedge rejects": [61, 257, 2**63 + 239, 2**63 + 319],
+}
+
+
+def _draw_case(seed):
+    """Which ziggurat case numpy's ``standard_normal()`` takes for ``seed``."""
+    raw = int(np.random.PCG64(seed).random_raw())
+    idx = raw & 0xFF
+    bit_generator = np.random.PCG64(seed)
+    np.random.Generator(bit_generator).standard_normal()
+    reference = np.random.PCG64(seed)
+    used = 0
+    while reference.state != bit_generator.state:
+        reference.advance(1)
+        used += 1
+    if used == 1:
+        return "fast"
+    if idx == 0:
+        return "tail"
+    if idx == 1:
+        return "index 1"
+    return "wedge accepts" if used == 2 else "wedge rejects"
+
+
 class TestArrayNoise:
     """The array noise path against numpy's own seeding and the scalar draw."""
 
@@ -171,10 +210,52 @@ class TestArrayNoise:
     @given(seeds=_SEEDS)
     def test_pcg64_states_equal_numpy_seeding(self, seeds):
         seeds = seeds + _BOUNDARY_SEEDS
-        states, incs = pcg64_states(_u64(seeds))
-        for seed, state, inc in zip(seeds, states, incs):
+        (state_hi, state_lo), (inc_hi, inc_lo) = pcg64_states(_u64(seeds))
+        for i, seed in enumerate(seeds):
             expected = np.random.PCG64(seed).state["state"]
+            state = int(state_hi[i]) << 64 | int(state_lo[i])
+            inc = int(inc_hi[i]) << 64 | int(inc_lo[i])
             assert (state, inc) == (expected["state"], expected["inc"])
+
+    @pytest.mark.parametrize("case", sorted(_OFF_FAST_PATH))
+    def test_off_fast_path_draws_equal_noise_from_seed(self, case):
+        seeds = _OFF_FAST_PATH[case]
+        for seed in seeds:
+            assert _draw_case(seed) == case
+        # Mixed with fast-path seeds in one call, on every chip.
+        seeds = seeds + list(range(100, 140))
+        true_us = [50.0 + 7.0 * i for i in range(len(seeds))]
+        for chip in all_chips():
+            got = noise_from_seeds(np.array(true_us), chip, _u64(seeds))
+            assert got.tolist() == self._reference(true_us, chip, seeds)
+
+    def test_fast_path_bounds_never_exceed_numpy_ki(self):
+        rng = np.random.Generator(np.random.PCG64(0))
+        for idx in range(256):
+            # The smallest rabs off the fast path is numpy's ki[idx].
+            low, high = -1, 2**52
+            while high - low > 1:
+                mid = (low + high) // 2
+                if _probe(rng, _ziggurat_word(idx, mid))[1]:
+                    low = mid
+                else:
+                    high = mid
+            assert int(_ZIGGURAT_KI[idx]) <= high
+
+    def test_wi_reproduces_every_index(self):
+        rng = np.random.Generator(np.random.PCG64(0))
+        for idx in range(256):
+            bound = int(_ZIGGURAT_KI[idx])
+            for rabs in {1, 2**40 + 3, bound // 2, bound - 1}:
+                if not 0 < rabs < bound:
+                    continue
+                z, fast = _probe(rng, _ziggurat_word(idx, rabs))
+                assert fast
+                assert z == rabs * _ZIGGURAT_WI[idx]
+                z, _ = _probe(rng, _ziggurat_word(idx, rabs) | 0x100)
+                assert z == -(rabs * _ZIGGURAT_WI[idx])
+            # rabs == 1 is where wi was read, on or off the fast path.
+            assert _probe(rng, _ziggurat_word(idx, 1))[0] == _ZIGGURAT_WI[idx]
 
     def test_block_seeds_equal_measurement_seeds(self):
         chip = get_chip("HD5500")
@@ -309,6 +390,26 @@ class TestPlanAxis:
         assert measure_plans_us_batch(plans, trace, 3) == [
             measure_repeats_us(plan, trace, 3) for plan in plans
         ]
+
+    def test_program_traces_in_one_call(self, traced_runs):
+        app = traced_runs[0][0]
+        traces = [trace for a, trace in traced_runs if a.name == app.name]
+        plans = [
+            compile_program(app.program(), get_chip("GTX1080"), cfg)
+            for cfg in enumerate_configs()[::5]
+        ]
+        together = measure_traces_us_batch(plans, traces, 2)
+        assert len(traces) == 2
+        assert together == [
+            measure_plans_us_batch(plans, trace, 2) for trace in traces
+        ]
+        assert together[1] == [
+            measure_repeats_us(plan, traces[1], 2) for plan in plans
+        ]
+        assert measure_traces_us_batch([], traces) == [[], []]
+        other = traced_runs[-1][1]  # another program's trace
+        with pytest.raises(ExecutionError):
+            measure_traces_us_batch(plans, [traces[0], other])
 
     def test_plans_must_share_a_chip(self, traced_runs):
         app, trace = traced_runs[0]
