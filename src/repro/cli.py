@@ -72,8 +72,8 @@ SUBCOMMANDS: List[Tuple[str, str, str]] = [
         "serve",
         "INDEX [--host H] [--port P] [--workers N]\n"
         "        [--max-concurrency N] [--timeout S] [--no-predict]\n"
-        "        [--predict-window-ms MS]\n"
         "        [--predict-max-batch N] [--predict-flush-timeout S]\n"
+        "        [--predict-window-ms MS (opt-in timer; default 0)]\n"
         "        [--max-restarts N] [--restart-backoff S]\n"
         "        [--heartbeat-interval S] [--admin-port P]\n"
         "        [--admission-depth N] [--admission-predict-depth N]\n"

@@ -140,24 +140,23 @@ class OptConfig:
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "OptConfig":
-        """Build a configuration from optimisation names."""
-        names = set(names)
+        """The configuration with exactly these optimisation names enabled.
+
+        Returns the canonical instance from :func:`enumerate_configs`,
+        so its memoised :meth:`key`, :meth:`label` and
+        :meth:`enabled_names` are shared by every caller.
+        """
+        names = frozenset(names)
+        try:
+            return _BY_NAMES[names]
+        except KeyError:
+            pass
         unknown = names - set(OPT_NAMES)
         if unknown:
             raise InvalidConfigError(
                 f"unknown optimisations: {', '.join(sorted(unknown))}"
             )
-        if "fg" in names and "fg8" in names:
-            raise InvalidConfigError("fg and fg8 are mutually exclusive")
-        fg: Optional[int] = 1 if "fg" in names else (8 if "fg8" in names else None)
-        return cls(
-            coop_cv="coop-cv" in names,
-            wg="wg" in names,
-            sg="sg" in names,
-            fg=fg,
-            oitergb="oitergb" in names,
-            wg_size=256 if "sz256" in names else 128,
-        )
+        raise InvalidConfigError("fg and fg8 are mutually exclusive")
 
     @property
     def is_baseline(self) -> bool:
@@ -217,6 +216,11 @@ def enumerate_configs(include_baseline: bool = True) -> List[OptConfig]:
     if not include_baseline:
         configs = [c for c in configs if not c.is_baseline]
     return configs
+
+
+#: The canonical instance of each configuration, by enabled names:
+#: every valid name set is one of the 96.
+_BY_NAMES = {config.enabled_names(): config for config in enumerate_configs()}
 
 
 def disable_opt(config: OptConfig, name: str) -> OptConfig:

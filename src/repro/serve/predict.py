@@ -16,16 +16,18 @@ interactive latency.
 
 The predictor serialises predictions behind one lock: the compile
 cache and the predictor's own memos are not thread-safe, and
-the server prices in a worker thread off the event loop, so the lock
+the server prices on a pricing thread off the event loop, so the lock
 makes concurrent ``/v1/predict`` requests queue rather than corrupt
 shared state.  :meth:`Predictor.price_many` amortises that lock — and
-the executor round-trip that precedes it — over a whole coalesced
+the thread round-trip that precedes it — over a whole coalesced
 micro-batch (see :class:`~repro.serve.server.PredictCoalescer`): one
 locked pass prices every item — one plan-axis batch per (chip,
 application, input) for the points not priced before — and each
 item's numbers are exactly what :meth:`Predictor.price` would have
-returned alone.  Each point's true runtime is memoised, so a repeated
-point costs only its seeded noise draws.
+returned alone.  A point's true runtime and its seeded noise draws
+depend on nothing but the point, so both are memoised together: a
+repeated point costs a chip lookup, its configuration key and a dict
+copy, with no hashing of seeds and no noise draws.
 """
 
 from __future__ import annotations
@@ -67,9 +69,10 @@ class Predictor:
         self._programs: Dict[str, object] = {}
         self._traces: Dict[Tuple[str, str], object] = {}
         self._prefixes: Dict[tuple, int] = {}
-        #: True runtime of every point priced so far, keyed by
-        #: (chip, application, input, configuration key).
-        self._true_us: Dict[tuple, float] = {}
+        #: Every point priced so far, keyed by (chip, application,
+        #: input, configuration key): its true runtime and its seeded
+        #: noisy repetitions, both deterministic in the point.
+        self._priced: Dict[tuple, Tuple[float, Tuple[float, ...]]] = {}
 
     @property
     def app_names(self):
@@ -149,23 +152,29 @@ class Predictor:
     def _resolve(
         self, chip_name: str, app_name: str, input_name: str, config: OptConfig
     ):
-        """A point's chip, trace, compiled plan and memo key."""
+        """A point's memo key, and its (chip, trace, compiled plan).
+
+        A point priced before needs none of the three, so it gets
+        ``None`` in their place.
+        """
         try:
             chip = get_chip(chip_name)
         except ChipError as exc:
             raise PredictionError(str(exc)) from exc
+        key = (chip.short_name, app_name, input_name, config.key())
+        if key in self._priced:
+            return key, None
         trace = self._trace(app_name, input_name)
         plan = compile_cached(self._programs[app_name], chip, config)
-        key = (chip.short_name, app_name, input_name, config.key())
-        return chip, trace, plan, key
+        return key, (chip, trace, plan)
 
     def _price_locked(
         self, points: Sequence[Tuple[str, str, str, OptConfig]]
     ) -> List[Union[dict, PredictionError]]:
         """Price ``points``; the caller holds ``self._lock``.
 
-        Points whose true runtime is not memoised yet are priced with
-        one plan-axis pass per (chip, application, input).
+        Points not priced before are priced with one plan-axis pass per
+        (chip, application, input), and their noise is drawn once.
         """
         resolved: List = []
         for point in points:
@@ -175,29 +184,31 @@ class Predictor:
                 resolved.append(exc)
         blocks: Dict[tuple, tuple] = {}
         for item in resolved:
-            if isinstance(item, PredictionError) or item[3] in self._true_us:
+            if isinstance(item, PredictionError) or item[1] is None:
                 continue
-            _, trace, plan, key = item
-            block = blocks.setdefault(key[:3], (trace, {}))
-            block[1][key] = plan
-        for trace, plans in blocks.values():
+            key, (chip, trace, plan) = item
+            block = blocks.setdefault(key[:3], (chip, trace, {}))
+            block[2][key] = plan
+        for chip, trace, plans in blocks.values():
             priced = estimate_runtimes_us_batch(
                 list(plans.values()), trace.arrays()
             )
-            self._true_us.update(zip(plans, priced))
+            for (key, plan), true_us in zip(plans.items(), priced):
+                self._priced[key] = (
+                    true_us, self._draw(chip, trace, plan, key, true_us)
+                )
         return [
-            item if isinstance(item, PredictionError) else self._answer(*item)
+            item if isinstance(item, PredictionError) else self._answer(item[0])
             for item in resolved
         ]
 
-    def _answer(self, chip, trace, plan, key) -> dict:
-        """The response dict of one point whose true runtime is memoised."""
+    def _draw(self, chip, trace, plan, key, true_us) -> Tuple[float, ...]:
+        """The seeded noisy repetitions of one point."""
         pkey = (chip.short_name, trace.program, trace.graph)
         prefix = self._prefixes.get(pkey)
         if prefix is None:
             prefix = measurement_prefix(chip, trace.program, trace.graph)
             self._prefixes[pkey] = prefix
-        true_us = self._true_us[key]
         seeds = measurement_seeds(
             chip,
             trace.program,
@@ -209,13 +220,18 @@ class Predictor:
         times = measure_repeats_us_batch(
             plan, trace, self.repetitions, true_us=true_us, seeds=seeds
         )
+        return tuple(float(t) for t in times)
+
+    def _answer(self, key: tuple) -> dict:
+        """The response dict of one priced point."""
+        true_us, times = self._priced[key]
         return {
-            "chip": chip.short_name,
+            "chip": key[0],
             "app": key[1],
             "input": key[2],
             "config": key[3],
             "predicted_us": float(true_us),
-            "times_us": [float(t) for t in times],
+            "times_us": list(times),
             "repetitions": self.repetitions,
         }
 
@@ -232,7 +248,7 @@ class Predictor:
                 f"or 'baseline' (got {value!r})"
             )
         if value == "baseline":
-            return OptConfig()
+            return OptConfig.from_names(())
         try:
             return OptConfig.from_names(value.split("+"))
         except InvalidConfigError as exc:

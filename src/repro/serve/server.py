@@ -40,12 +40,12 @@ Operational behaviour:
 * **per-request timeout** — a dispatch exceeding ``request_timeout``
   returns 503 and counts ``serve.timeouts``;
 * **predict micro-batching** — concurrent ``POST /v1/predict`` items
-  coalesce behind a small time/size window (``predict_window`` /
-  ``predict_max_batch``) into one vectorized
-  :meth:`~repro.serve.predict.Predictor.price_many` call, so predict
-  throughput rides the batch engine's speedup instead of paying one
-  executor round-trip per item — while each item's numbers stay
-  study-identical;
+  are group-committed (up to ``predict_max_batch``) into one vectorized
+  :meth:`~repro.serve.predict.Predictor.price_many` call on one pricing
+  thread: items arriving while a batch prices ride the next one, so
+  predict throughput rides the batch engine's speedup instead of
+  paying one thread round-trip per item — while each item's numbers
+  stay study-identical;
 * **multi-worker** — ``repro serve --workers N`` forks N processes
   sharing one port via ``SO_REUSEPORT``; each worker runs this server
   unchanged, and per-worker recorders are merged through the standard
@@ -91,6 +91,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qsl, urlsplit
 
@@ -155,20 +156,28 @@ class _HttpError(Exception):
 class PredictCoalescer:
     """Micro-batches concurrent predict items into one engine call.
 
-    Items submitted via :meth:`price` wait at most ``window`` seconds
-    (or until ``max_batch`` items are pending, whichever comes first)
-    and are then priced together by a single executor dispatch of
-    :meth:`~repro.serve.predict.Predictor.price_many` (one lock, one
-    pass; per-item failures come back as
-    :class:`~repro.errors.PredictionError` *values*).  Each caller
-    awaits its own future, so per-item results — and per-item errors —
-    are preserved exactly; coalescing changes *when* pricing happens,
-    never *what* it returns.
+    Items submitted via :meth:`price` are group-committed: when no
+    batch is pricing, the pending items flush on the next event-loop
+    tick; items that arrive while a batch prices wait, and flush
+    together as one batch when it ends (or as soon as ``max_batch`` are
+    pending).  So a lone item waits for no timer, and under load the
+    batch grows to whatever arrived during the previous one.  A batch
+    stops counting as pricing when its dispatch returns, whether it
+    finished or hit ``flush_timeout``.
 
-    ``window=0`` still coalesces items that arrive within one event-
-    loop tick (e.g. all items of one request body) but adds no latency.
-    Everything runs on the event loop thread except the batch itself,
-    so no locking is needed here.
+    Each batch is one :meth:`~repro.serve.predict.Predictor.price_many`
+    call (one lock, one pass; per-item failures come back as
+    :class:`~repro.errors.PredictionError` *values*) on the coalescer's
+    one pricing thread, not the loop's shared executor: the predictor's
+    lock serialises pricing anyway.  Each caller awaits its own future, so
+    per-item results — and per-item errors — are preserved exactly;
+    coalescing changes *when* pricing happens, never *what* it returns.
+
+    ``window > 0`` opts into a timer instead: the first pending
+    item arms a ``window``-second timer and everything pending when it
+    fires (or at ``max_batch``) flushes, whether or not a batch is
+    pricing.  Everything runs on the event loop thread except the batch
+    itself, so no locking is needed here.
 
     ``flush_timeout`` puts a hard deadline on each flushed batch: a
     single slow or oversized batch would otherwise stall *every*
@@ -176,8 +185,8 @@ class PredictCoalescer:
     slot per waiter.  On deadline every waiter gets a
     :class:`~repro.errors.FlushTimeoutError` (a per-item 503) and
     ``serve.predict.flush_timeouts`` counts the batch; the abandoned
-    executor thread finishes in the background and its results are
-    discarded.  ``flush_timeout=0`` disables the deadline.
+    batch finishes on the pricing thread in the background and its
+    results are discarded.  ``flush_timeout=0`` disables the deadline.
     """
 
     def __init__(
@@ -201,7 +210,14 @@ class PredictCoalescer:
         self.max_batch = max_batch
         self.flush_timeout = flush_timeout
         self._pending: List[tuple] = []
-        self._timer: Optional[asyncio.TimerHandle] = None
+        #: The armed flush: a next-tick callback, or the window timer.
+        self._timer: Optional[asyncio.Handle] = None
+        #: Batches flushed whose dispatch has not returned yet.
+        self._pricing = 0
+        self._thread: Optional[ThreadPoolExecutor] = None
+        #: The last batch handed to the thread; the thread runs batches
+        #: in order, so when this one is done the thread is idle.
+        self._last: Optional[Future] = None
 
     async def price(self, chip: str, app: str, inp: str, config) -> dict:
         """Submit one item; resolves to its result (or raises its error)."""
@@ -211,8 +227,23 @@ class PredictCoalescer:
         if len(self._pending) >= self.max_batch:
             self._flush()
         elif self._timer is None:
-            self._timer = loop.call_later(self.window, self._flush)
+            if self.window > 0:
+                self._timer = loop.call_later(self.window, self._flush)
+            elif not self._pricing:
+                self._timer = loop.call_soon(self._flush)
         return await future
+
+    def stop(self) -> None:
+        """Shut the pricing thread down.
+
+        Joins the thread when it is idle; a batch still running on it
+        (one abandoned at its flush deadline) is not waited for, and
+        the thread exits when that batch returns.
+        """
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            last = self._last
+            thread.shutdown(wait=last is None or last.done())
 
     def _flush(self) -> None:
         if self._timer is not None:
@@ -220,18 +251,29 @@ class PredictCoalescer:
             self._timer = None
         batch, self._pending = self._pending, []
         if batch:
+            self._pricing += 1
             asyncio.ensure_future(self._run(batch))
 
     async def _run(self, batch: List[tuple]) -> None:
+        try:
+            await self._price_batch(batch)
+        finally:
+            self._pricing -= 1
+        if not self.window and not self._pricing and self._pending:
+            self._flush()
+
+    async def _price_batch(self, batch: List[tuple]) -> None:
         rec = self.recorder
         rec.count("serve.predict.batches")
         rec.observe("serve.predict.batch_size", float(len(batch)))
-        loop = asyncio.get_event_loop()
+        if self._thread is None:
+            self._thread = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-predict"
+            )
         items = [(chip, app, inp, cfg) for chip, app, inp, cfg, _ in batch]
         try:
-            call = loop.run_in_executor(
-                None, self.predictor.price_many, items
-            )
+            self._last = self._thread.submit(self.predictor.price_many, items)
+            call = asyncio.wrap_future(self._last)
             if self.flush_timeout > 0:
                 results = await asyncio.wait_for(call, self.flush_timeout)
             else:
@@ -433,6 +475,8 @@ class StrategyServer:
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._connections.clear()
+        if self._coalescer is not None:
+            self._coalescer.stop()
 
     # -- connection handling -----------------------------------------------
 
@@ -1703,13 +1747,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--predict-window-ms",
         type=float,
-        default=2.0,
+        default=0.0,
         metavar="MS",
         help=(
-            "micro-batching window for POST /v1/predict: concurrent "
-            "items arriving within this many milliseconds coalesce "
-            "into one batch-engine call (default 2.0; 0 batches only "
-            "within a single event-loop tick)"
+            "opt-in micro-batching window for POST /v1/predict: "
+            "concurrent items arriving within this many milliseconds "
+            "coalesce into one batch-engine call (default 0: group "
+            "commit, items arriving while a batch prices ride the next)"
         ),
     )
     parser.add_argument(

@@ -48,13 +48,30 @@ class TestNames:
         for cfg in enumerate_configs():
             assert OptConfig.from_names(cfg.enabled_names()) == cfg
 
+    def test_from_names_returns_one_canonical_instance(self):
+        """Every name set maps to one shared instance, in any order or
+        container, equal to (and hashing like) a freshly built one."""
+        for cfg in enumerate_configs():
+            names = cfg.enabled_names()
+            canonical = OptConfig.from_names(names)
+            assert OptConfig.from_names(sorted(names, reverse=True)) is canonical
+            assert OptConfig.from_names(list(names) * 2) is canonical
+            assert canonical == cfg and hash(canonical) == hash(cfg)
+            assert canonical.key() == cfg.key()
+        assert OptConfig.from_names([]) is OptConfig.from_names(set())
+        assert OptConfig.from_names([]) == BASELINE
+
     def test_fg_variants_mutually_exclusive(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match="mutually exclusive"):
             OptConfig.from_names({"fg", "fg8"})
+        with pytest.raises(InvalidConfigError, match="mutually exclusive"):
+            OptConfig.from_names({"fg", "fg8", "wg"})
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidConfigError):
             OptConfig.from_names({"turbo"})
+        with pytest.raises(InvalidConfigError, match="unknown optimisations: turbo"):
+            OptConfig.from_names({"turbo", "fg", "fg8"})
         with pytest.raises(InvalidConfigError):
             BASELINE.has("turbo")
 

@@ -99,6 +99,38 @@ class TestPriceMany:
     def test_empty_batch(self, predictor):
         assert predictor.price_many([]) == []
 
+    def test_repeated_points_draw_no_noise(self, monkeypatch):
+        """A point priced once is answered from its memo: the second
+        pass hashes no seeds and draws no noise, and still returns
+        exactly what a fresh predictor computes."""
+        import repro.perfmodel.batch as batch_engine
+        import repro.serve.predict as predict_module
+
+        points = [
+            ("MALI", "bfs-wl", "rmat-sim", OptConfig()),
+            ("GTX1080", "pr-topo", "uniform-sim", OptConfig.from_names(["wg"])),
+            ("MALI", "bfs-wl", "rmat-sim", OptConfig.from_names(["sg", "wg"])),
+            ("TPU9000", "bfs-wl", "rmat-sim", OptConfig()),
+        ]
+        warm = Predictor(scale=SCALE, repetitions=3)
+        warm.price_many(points)
+        expected = Predictor(scale=SCALE, repetitions=3).price_many(points)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a repeated point drew noise")
+
+        monkeypatch.setattr(predict_module, "measurement_seeds", forbidden)
+        monkeypatch.setattr(batch_engine, "noise_from_seed", forbidden)
+        again = warm.price_many(points + points[:1])
+        assert again[:3] == expected[:3]
+        assert again[4] == expected[0]
+        assert isinstance(again[3], PredictionError)
+        assert str(again[3]) == str(expected[3])
+        # Each answer is its own dict: a caller mutating one cannot
+        # change what the memo returns next.
+        again[0]["times_us"].append(0.0)
+        assert warm.price_many(points[:1]) == expected[:1]
+
 
 class TestParseConfig:
     def test_accepts_dataset_key_syntax(self):

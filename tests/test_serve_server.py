@@ -11,11 +11,12 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import threading
 import time
 
 import pytest
 
-from repro.errors import PredictionError, ServeError
+from repro.errors import FlushTimeoutError, PredictionError, ServeError
 from repro.obs import Recorder
 from repro.serve import StrategyServer, build_index
 from repro.study.dataset import PerfDataset
@@ -727,6 +728,184 @@ class TestCoalescing:
             StrategyServer(index, predict_window=-1.0)
         with pytest.raises(ServeError):
             StrategyServer(index, predict_max_batch=0)
+
+
+class GatedPredictor(BatchStubPredictor):
+    """Holds its first batch on the pricing thread until ``gate`` is set,
+    and records which thread ran each batch."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+        self.threads = []
+
+    def price_many(self, points):
+        self.threads.append(threading.current_thread())
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.gate.wait(timeout=10.0)
+        return super().price_many(points)
+
+
+async def _until(flag: threading.Event) -> None:
+    for _ in range(2000):
+        if flag.is_set():
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError("the pricing thread never started the batch")
+
+
+class TestGroupCommit:
+    """Without a window, items arriving while a batch prices wait for
+    it and then flush together; a lone item waits for no timer."""
+
+    @staticmethod
+    def _item(coalescer, i):
+        from repro.compiler.options import OptConfig
+
+        return asyncio.ensure_future(
+            coalescer.price("MALI", "bfs-wl", f"graph-{i}", OptConfig(wg=True))
+        )
+
+    def test_items_arriving_during_a_batch_ride_one_next_batch(self):
+        from repro.serve import PredictCoalescer
+
+        stub = GatedPredictor()
+        recorder = Recorder()
+
+        async def go():
+            coalescer = PredictCoalescer(stub, recorder)
+            try:
+                first = self._item(coalescer, 0)
+                await _until(stub.entered)
+                rest = [self._item(coalescer, i) for i in range(1, 4)]
+                for _ in range(20):  # many loop ticks: nothing flushes
+                    await asyncio.sleep(0)
+                assert len(stub.batches) == 0 and stub.entered.is_set()
+                stub.gate.set()
+                return await asyncio.gather(first, *rest)
+            finally:
+                coalescer.stop()
+
+        results = run(go())
+        assert [r["input"] for r in results] == [f"graph-{i}" for i in range(4)]
+        assert [[p[2] for p in b] for b in stub.batches] == [
+            ["graph-0"], ["graph-1", "graph-2", "graph-3"],
+        ]
+        assert recorder.counters["serve.predict.batches"] == 2
+
+    def test_max_batch_flushes_while_a_batch_prices(self):
+        from repro.serve import PredictCoalescer
+
+        stub = GatedPredictor()
+
+        async def go():
+            coalescer = PredictCoalescer(stub, max_batch=2)
+            try:
+                first = self._item(coalescer, 0)
+                await _until(stub.entered)
+                rest = [self._item(coalescer, i) for i in range(1, 6)]
+                for _ in range(20):
+                    await asyncio.sleep(0)
+                stub.gate.set()
+                return await asyncio.gather(first, *rest)
+            finally:
+                coalescer.stop()
+
+        run(go())
+        # Two full batches went to the thread behind the gated one; the
+        # last item flushed alone when they were done.
+        assert [[p[2] for p in b] for b in stub.batches] == [
+            ["graph-0"], ["graph-1", "graph-2"], ["graph-3", "graph-4"],
+            ["graph-5"],
+        ]
+
+    def test_lone_item_arms_no_timer(self):
+        from repro.serve import PredictCoalescer
+
+        stub = BatchStubPredictor()
+        armed = []
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            for name in ("call_later", "call_at"):
+                original = getattr(loop, name)
+
+                def record(*args, _original=original, **kwargs):
+                    armed.append(args)
+                    return _original(*args, **kwargs)
+
+                setattr(loop, name, record)
+            coalescer = PredictCoalescer(stub, window=0.0)
+            try:
+                first = await self._item(coalescer, 0)
+                second = await self._item(coalescer, 1)
+            finally:
+                coalescer.stop()
+            return first, second
+
+        first, second = run(go())
+        assert (first["input"], second["input"]) == ("graph-0", "graph-1")
+        assert len(stub.batches) == 2
+        assert armed == []
+
+    def test_batches_share_one_pricing_thread_that_stop_ends(self, index):
+        stub = GatedPredictor()
+
+        async def go():
+            server = StrategyServer(index, predictor=stub, predict_max_batch=2)
+            await server.start()
+            try:
+                requests = [
+                    asyncio.ensure_future(http_request(
+                        server.port, "POST", "/v1/predict",
+                        _predict_body(
+                            {"chip": "MALI", "app": "bfs-wl",
+                             "input": f"graph-{i}", "config": "wg"}
+                        ),
+                    ))
+                    for i in range(5)
+                ]
+                await _until(stub.entered)
+                # Let the other requests arrive: full batches flush at
+                # max_batch while the first is still held.
+                await asyncio.sleep(0.2)
+                stub.gate.set()
+                responses = await asyncio.gather(*requests)
+                assert all(status == 200 for status, _, _ in responses)
+            finally:
+                await server.stop()
+            return [t.is_alive() for t in stub.threads]
+
+        alive = run(go())
+        assert len(stub.threads) >= 3
+        assert len({t.ident for t in stub.threads}) == 1
+        assert stub.threads[0] is not threading.main_thread()
+        assert alive == [False] * len(stub.threads)
+
+    def test_stop_does_not_wait_for_an_abandoned_batch(self):
+        from repro.serve import PredictCoalescer
+
+        stub = GatedPredictor()
+
+        async def go():
+            coalescer = PredictCoalescer(stub, flush_timeout=0.05)
+            item = self._item(coalescer, 0)
+            with pytest.raises(FlushTimeoutError):
+                await item
+            started = time.perf_counter()
+            coalescer.stop()
+            return time.perf_counter() - started
+
+        took = run(go())
+        try:
+            assert took < 1.0
+            assert stub.threads[0].is_alive()  # still holding batch 1
+        finally:
+            stub.gate.set()
+        stub.threads[0].join(timeout=10.0)
+        assert not stub.threads[0].is_alive()
 
 
 class TestFlushDeadline:
